@@ -31,10 +31,16 @@ from .crf import (
     train as crf_train,
 )
 from .errors import DataError, RefparseError, UsageError
-from .experiments import ExperimentPlan, cross_matrix, field_ablation, size_curve
+from .experiments import (
+    ExperimentPlan,
+    _evaluate_model,
+    cross_matrix,
+    field_ablation,
+    size_curve,
+)
 from .features import FeatureConfig, load_gazetteer_file
 from .labels import sort_fields
-from .metrics import evaluate, format_report_table, write_report_csv
+from .metrics import format_report_table, write_report_csv
 from .synthgen import (
     builtin_styles,
     generate_corpus,
@@ -167,13 +173,12 @@ def sample_cmd(src, dst, n, seed):
 @click.option("--l2", default=1.0, show_default=True, type=float)
 @click.option("--max-epochs", default=200, show_default=True, type=int)
 @click.option("--tol", default=1e-4, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--min-count", default=1, show_default=True, type=int)
 @click.option("--window", default=2, show_default=True, type=int)
 @click.option("--no-gazetteers", is_flag=True)
 @click.option("--gazetteer-dir", type=click.Path(exists=True),
               help="Directory of <name>.txt word lists replacing the builtin ones.")
-def train(src, model_path, l2, max_epochs, tol, seed, min_count, window,
+def train(src, model_path, l2, max_epochs, tol, min_count, window,
           no_gazetteers, gazetteer_dir):
     """Train a CRF model on a labeled corpus."""
     gazetteers = None
@@ -188,7 +193,7 @@ def train(src, model_path, l2, max_epochs, tol, seed, min_count, window,
         gazetteers=gazetteers,
         min_count=min_count,
     )
-    train_config = TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol, seed=seed)
+    train_config = TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol)
     model = crf_train(read_corpus(src), feature_config, train_config)
     save_model(model, model_path)
     click.echo(f"saved model to {model_path}", err=True)
@@ -234,55 +239,30 @@ def parse(model_path, in_path, out_path, out_format):
 @click.option("--out", "out_path", type=click.Path(), help="Report CSV path.")
 def eval_cmd(model_path, gold_path, out_path):
     """Evaluate a model against a gold corpus (table to stdout, CSV to --out)."""
-    from .crf import predict_tags
-
-    model = load_model(model_path)
-    gold = read_corpus(gold_path)
-    pred = [predict_tags(model, inst.surfaces()) for inst in gold.instances]
-    report = evaluate(gold, pred)
+    report = _evaluate_model(load_model(model_path), read_corpus(gold_path))
     click.echo(format_report_table(report, title=f"model={model_path} gold={gold_path}"))
     if out_path:
         write_report_csv(report, out_path)
 
 
-def _train_config_options(fn):
-    fn = click.option("--tol", default=1e-4, show_default=True, type=float)(fn)
-    fn = click.option("--max-epochs", default=200, show_default=True, type=int)(fn)
-    fn = click.option("--l2", default=1.0, show_default=True, type=float)(fn)
-    return fn
+def _experiment_command(name: str, run_plan, help_text: str) -> None:
+    @cli.command(name, help=help_text)
+    @click.argument("plan", type=click.Path(exists=True))
+    @click.option("--l2", default=1.0, show_default=True, type=float)
+    @click.option("--max-epochs", default=200, show_default=True, type=int)
+    @click.option("--tol", default=1e-4, show_default=True, type=float)
+    def command(plan, l2, max_epochs, tol):
+        run_plan(
+            ExperimentPlan.from_json(plan),
+            TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol),
+        )
 
 
-@cli.command()
-@click.argument("plan", type=click.Path(exists=True))
-@_train_config_options
-def matrix(plan, l2, max_epochs, tol):
-    """Cross train/eval matrix from a plan file."""
-    cross_matrix(
-        ExperimentPlan.from_json(plan),
-        TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol),
-    )
-
-
-@cli.command()
-@click.argument("plan", type=click.Path(exists=True))
-@_train_config_options
-def curve(plan, l2, max_epochs, tol):
-    """Training-size curve from a plan file."""
-    size_curve(
-        ExperimentPlan.from_json(plan),
-        TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol),
-    )
-
-
-@cli.command()
-@click.argument("plan", type=click.Path(exists=True))
-@_train_config_options
-def ablation(plan, l2, max_epochs, tol):
-    """Full-label vs reduced-label ablation from a plan file."""
-    field_ablation(
-        ExperimentPlan.from_json(plan),
-        TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol),
-    )
+_experiment_command("matrix", cross_matrix, "Cross train/eval matrix from a plan file.")
+_experiment_command("curve", size_curve, "Training-size curve from a plan file.")
+_experiment_command(
+    "ablation", field_ablation, "Full-label vs reduced-label ablation from a plan file."
+)
 
 
 @cli.command("tokenize")

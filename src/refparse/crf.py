@@ -17,6 +17,7 @@ import gzip
 import io
 import json
 import logging
+import zlib
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -82,7 +83,6 @@ class TrainConfig:
     l2: float = 1.0
     max_epochs: int = 200
     tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.l2 < 0:
@@ -95,7 +95,6 @@ class TrainConfig:
             "l2": self.l2,
             "max_epochs": self.max_epochs,
             "tol": self.tol,
-            "seed": self.seed,
         }
 
 
@@ -221,7 +220,7 @@ def emission_scores(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-instance inference
+# inference
 # ---------------------------------------------------------------------------
 
 def score_path(inst: VectorizedInstance, tags: Sequence[str], model: CrfModel) -> float:
@@ -241,56 +240,64 @@ def score_path(inst: VectorizedInstance, tags: Sequence[str], model: CrfModel) -
     return float(total)
 
 
-def _forward(e: np.ndarray, model: CrfModel) -> np.ndarray:
-    """Forward table alpha (T, L) in log space."""
+def _forward_backward(
+    e_pad: np.ndarray, lengths: np.ndarray, model: CrfModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-space forward and backward tables over a padded batch.
+
+    `e_pad` is (maxT, N, L) emission scores and `lengths` the N instance
+    lengths. Returns alphas and betas (maxT, N, L), which are meaningful at
+    t < lengths[n] only, and logz (N,).
+    """
+    max_t, n, n_tags = e_pad.shape
     exp_trans = np.exp(model.transition)
-    alpha = np.empty_like(e)
-    alpha[0] = model.begin + e[0]
+
+    # forward; rows past their instance's end carry the last alpha along
+    alphas = np.empty_like(e_pad)
+    a = np.broadcast_to(model.begin, (n, n_tags)) + e_pad[0]
+    alphas[0] = a
     with np.errstate(divide="ignore"):
-        for t in range(1, len(e)):
-            prev = alpha[t - 1]
-            m = prev.max()
-            alpha[t] = m + np.log(np.exp(prev - m) @ exp_trans) + e[t]
-    return alpha
+        for t in range(1, max_t):
+            m = a.max(axis=1, keepdims=True)
+            a_new = m + np.log(np.exp(a - m) @ exp_trans) + e_pad[t]
+            a = np.where((t < lengths)[:, None], a_new, a)
+            alphas[t] = a
+    final = a + model.end
+    m = final.max(axis=1, keepdims=True)
+    logz = m[:, 0] + np.log(np.exp(final - m).sum(axis=1))
 
-
-def _backward(e: np.ndarray, model: CrfModel) -> np.ndarray:
-    """Backward table beta (T, L) in log space; beta[T-1] = end weights."""
-    exp_trans_t = np.exp(model.transition).T
-    beta = np.empty_like(e)
-    beta[-1] = model.end
+    # backward; rows restart at `end` on each instance's last position
+    betas = np.empty_like(e_pad)
+    b = np.broadcast_to(model.end, (n, n_tags)).copy()
+    betas[max_t - 1] = b
+    last_pos = lengths - 1
+    exp_trans_t = exp_trans.T
     with np.errstate(divide="ignore"):
-        for t in range(len(e) - 2, -1, -1):
-            v = beta[t + 1] + e[t + 1]
-            m = v.max()
-            beta[t] = m + np.log(np.exp(v - m) @ exp_trans_t)
-    return beta
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = v.max()
-    if m == NEG_INF:
-        return NEG_INF
-    return float(m + np.log(np.exp(v - m).sum()))
+        for t in range(max_t - 2, -1, -1):
+            v = b + e_pad[t + 1]
+            m = v.max(axis=1, keepdims=True)
+            b_new = m + np.log(np.exp(v - m) @ exp_trans_t)
+            b = np.where((last_pos == t)[:, None], model.end, b_new)
+            betas[t] = b
+    return alphas, betas, logz
 
 
 def log_partition(inst: VectorizedInstance, model: CrfModel) -> float:
     """log of the summed exponentiated scores over all tag paths."""
     if len(inst) == 0:
         raise StructuralError("log_partition of a zero-length instance")
-    alpha = _forward(emission_scores(inst, model), model)
-    return _logsumexp(alpha[-1] + model.end)
+    e = emission_scores(inst, model)[:, None]
+    _, _, logz = _forward_backward(e, np.array([len(inst)]), model)
+    return float(logz[0])
 
 
 def marginals(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
     """(T, L) per-position tag posteriors; rows sum to 1."""
     if len(inst) == 0:
         raise StructuralError("marginals of a zero-length instance")
-    e = emission_scores(inst, model)
-    alpha = _forward(e, model)
-    beta = _backward(e, model)
-    logz = _logsumexp(alpha[-1] + model.end)
-    return np.exp(alpha + beta - logz)
+    e = emission_scores(inst, model)[:, None]
+    alphas, betas, logz = _forward_backward(e, np.array([len(inst)]), model)
+    return np.exp(alphas[:, 0] + betas[:, 0] - logz[0])
 
 
 def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
@@ -394,9 +401,6 @@ class _Batch:
             if len(g) > 1:
                 np.add.at(self.trans_counts, (g[:-1], g[1:]), 1.0)
 
-        # active[t] = boolean over instances with length > t
-        self.active = np.arange(self.max_t)[:, None] < self.lengths[None, :]
-
     def pad(self, flat: np.ndarray) -> np.ndarray:
         """Scatter (P, L) position-major values into (maxT, N, L)."""
         out = np.zeros((self.max_t, self.n, flat.shape[1]))
@@ -411,35 +415,7 @@ def _batch_nll_grad(
     tmask, bmask = _structure_masks(model.tags)
     e_flat = batch.x @ model.emission  # (P, L)
     e_pad = batch.pad(e_flat)  # (maxT, N, L)
-    exp_trans = np.exp(model.transition)
-
-    # forward
-    alphas = np.empty_like(e_pad)
-    a = np.broadcast_to(model.begin, (batch.n, n_tags)) + e_pad[0]
-    alphas[0] = a
-    with np.errstate(divide="ignore"):
-        for t in range(1, batch.max_t):
-            m = a.max(axis=1, keepdims=True)
-            a_new = m + np.log(np.exp(a - m) @ exp_trans) + e_pad[t]
-            a = np.where(batch.active[t][:, None], a_new, a)
-            alphas[t] = a
-    final = a + model.end
-    m = final.max(axis=1, keepdims=True)
-    logz = (m[:, 0] + np.log(np.exp(final - m).sum(axis=1)))  # (N,)
-
-    # backward; rows restart at `end` on each instance's last position
-    betas = np.empty_like(e_pad)
-    b = np.broadcast_to(model.end, (batch.n, n_tags)).copy()
-    betas[batch.max_t - 1] = b
-    last_pos = batch.lengths - 1
-    exp_trans_t = exp_trans.T
-    with np.errstate(divide="ignore"):
-        for t in range(batch.max_t - 2, -1, -1):
-            v = b + e_pad[t + 1]
-            m = v.max(axis=1, keepdims=True)
-            b_new = m + np.log(np.exp(v - m) @ exp_trans_t)
-            b = np.where((last_pos == t)[:, None], model.end, b_new)
-            betas[t] = b
+    alphas, betas, logz = _forward_backward(e_pad, batch.lengths, model)
 
     # per-position posteriors, flattened back to position-major order;
     # the exponent is <= 0 up to rounding, and clipping also neutralizes
@@ -450,15 +426,14 @@ def _batch_nll_grad(
     # expected transition counts: sum_t exp(alpha[t-1,i]) exp(trans) exp(c[t,j])
     d = np.zeros((n_tags, n_tags))
     for t in range(1, batch.max_t):
-        act = batch.active[t]
         a_prev = alphas[t - 1]
         s1 = a_prev.max(axis=1, keepdims=True)
         c = e_pad[t] + betas[t] - logz[:, None] + s1
         left = np.exp(a_prev - s1)
         right = np.exp(np.minimum(c, _EXP_CAP))
-        left[~act] = 0.0
+        left[t >= batch.lengths] = 0.0
         d += left.T @ right
-    expected_trans = d * exp_trans
+    expected_trans = d * np.exp(model.transition)
 
     # gold path score
     p_idx = np.arange(len(batch.gold))
@@ -477,7 +452,7 @@ def _batch_nll_grad(
     grad_trans[~tmask] = 0.0
     grad_begin = mu_pad[0].sum(axis=0) - batch.begin_counts
     grad_begin[~bmask] = 0.0
-    mu_last = mu_pad[last_pos, np.arange(batch.n)]
+    mu_last = mu_pad[batch.lengths - 1, np.arange(batch.n)]
     grad_end = mu_last.sum(axis=0) - batch.end_counts
 
     if l2:
@@ -639,32 +614,35 @@ def save_model(model: CrfModel, path) -> None:
 
 
 def load_model(path) -> CrfModel:
+    """Read a model file; any malformed content raises DataError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
     try:
+        if blob[:2] == b"\x1f\x8b":
+            blob = gzip.decompress(blob)
         payload = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, EOFError, zlib.error, ValueError) as exc:
         raise DataError(f"not a model file: {exc}") from None
-    if payload.get("format") != MODEL_FORMAT:
-        raise DataError(
-            f"unsupported model format {payload.get('format')!r}, expected {MODEL_FORMAT}"
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise DataError(f"unsupported model format {fmt!r}, expected {MODEL_FORMAT}")
+    try:
+        tags = tuple(payload["tags"])
+        tmask, bmask = _structure_masks(tags)
+        transition = _decode_array(payload["transition"])
+        transition[~tmask] = NEG_INF
+        begin = _decode_array(payload["begin"])
+        begin[~bmask] = NEG_INF
+        return CrfModel(
+            labels=tuple(payload["labels"]),
+            tags=tags,
+            emission=_decode_array(payload["emission"]),
+            transition=transition,
+            begin=begin,
+            end=_decode_array(payload["end"]),
+            feature_index=FeatureIndex(names=tuple(payload["feature_names"])),
+            feature_config=FeatureConfig.from_dict(payload["feature_config"]),
+            tokenizer_config=TokenizerConfig.from_dict(payload["tokenizer_config"]),
         )
-    tags = tuple(payload["tags"])
-    tmask, bmask = _structure_masks(tags)
-    transition = _decode_array(payload["transition"])
-    transition[~tmask] = NEG_INF
-    begin = _decode_array(payload["begin"])
-    begin[~bmask] = NEG_INF
-    return CrfModel(
-        labels=tuple(payload["labels"]),
-        tags=tags,
-        emission=_decode_array(payload["emission"]),
-        transition=transition,
-        begin=begin,
-        end=_decode_array(payload["end"]),
-        feature_index=FeatureIndex(names=tuple(payload["feature_names"])),
-        feature_config=FeatureConfig.from_dict(payload["feature_config"]),
-        tokenizer_config=TokenizerConfig.from_dict(payload["tokenizer_config"]),
-    )
+    except (LookupError, TypeError, ValueError, StructuralError) as exc:
+        raise DataError(f"malformed model file: {type(exc).__name__}: {exc}") from None

@@ -1,5 +1,6 @@
 """The three experiment designs: cross train/eval matrix, training-size
-curve, and field-set ablation.
+curve, and field-set ablation. Each one checks its plan, lists its training
+arms, and hands them to one shared cell loop (`_run_cells`).
 
 Every experiment is a pure function of (plan, configs): corpora are read
 from the plan's paths, models share one TrainConfig, and all outputs (CSV
@@ -10,12 +11,13 @@ timestamps, so a rerun with the same inputs is byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,9 +130,18 @@ def _write_cell_fields(report: EvalReport, out_dir: Path, cell: str) -> None:
     )
 
 
-def _evaluate_model(model: CrfModel, eval_corpus: Corpus) -> EvalReport:
-    pred = [predict_tags(model, inst.surfaces()) for inst in eval_corpus.instances]
-    return evaluate(eval_corpus, pred)
+def _evaluate_model(
+    model: CrfModel, corpus: Corpus, keep: Sequence[str] | None = None
+) -> EvalReport:
+    """Decode every instance of `corpus` and score it against its gold tags.
+
+    With `keep`, gold and predicted tags outside those fields become O first.
+    """
+    pred = [predict_tags(model, inst.surfaces()) for inst in corpus.instances]
+    if keep is not None:
+        corpus = filter_fields(corpus, keep)
+        pred = [filter_tags_sequence(tags, keep) for tags in pred]
+    return evaluate(corpus, pred)
 
 
 _AGG_COLUMNS = (
@@ -158,19 +169,26 @@ def _agg_cells(report: EvalReport) -> dict:
     }
 
 
-def cross_matrix(
-    plan: ExperimentPlan,
-    train_config: TrainConfig | None = None,
-    feature_config: FeatureConfig | None = None,
-) -> ExperimentResult:
-    """Train one model per train corpus, evaluate on every eval corpus.
+# row-key column of each experiment kind's table
+_ROW_KEYS = {"matrix": "train", "curve": "size", "ablation": "arm"}
 
-    Writes matrix.csv, per-cell fields_*.csv, and manifest.json into the
-    plan's out_dir. A failed cell is recorded in the manifest and the run
-    ends with a RefparseError after writing the completed cells.
+
+def _run_cells(
+    kind: str,
+    plan: ExperimentPlan,
+    arms: Sequence[tuple[str, str, Callable[[], Corpus]]],
+    train_config: TrainConfig | None,
+    feature_config: FeatureConfig | None,
+    keep: Sequence[str] | None = None,
+) -> ExperimentResult:
+    """Train each (row key, cell name, training-corpus loader) arm in order
+    and evaluate it on every plan eval corpus, optionally coarsened to `keep`.
+
+    Writes <kind>.csv (arm-major rows), fields_<cell>__<eval>.csv and
+    manifest.json into the plan's out_dir. A failed training is recorded and
+    stops later arms; a failed evaluation is recorded and skipped. The
+    manifest is always written, and any failure then raises RefparseError.
     """
-    if not plan.trains or not plan.evals:
-        raise UsageError("cross_matrix needs at least one train and one eval corpus")
     train_config = train_config or TrainConfig()
     feature_config = feature_config or FeatureConfig()
     out_dir = Path(plan.out_dir)
@@ -178,35 +196,49 @@ def cross_matrix(
 
     result = ExperimentResult(reports={})
     rows: list[dict] = []
-    for train_name, train_path in plan.trains.items():
+    evals: dict[str, Corpus] = {}  # read once, on first use
+    for key, cell, load in arms:
         try:
-            train_corpus = read_corpus(train_path, name=train_name)
-            model = train(train_corpus, feature_config, train_config)
+            model = train(load(), feature_config, train_config)
         except RefparseError as exc:
-            result.failures.append({"cell": train_name, "error": str(exc)})
-            log.error("training %s failed: %s", train_name, exc)
+            result.failures.append({"cell": cell, "error": str(exc)})
+            log.error("training %s failed: %s", cell, exc)
             break
         for eval_name, eval_path in plan.evals.items():
             try:
-                eval_corpus = read_corpus(eval_path, name=eval_name)
-                report = _evaluate_model(model, eval_corpus)
+                if eval_name not in evals:
+                    evals[eval_name] = read_corpus(eval_path, name=eval_name)
+                report = _evaluate_model(model, evals[eval_name], keep)
             except RefparseError as exc:
-                result.failures.append(
-                    {"cell": f"{train_name}x{eval_name}", "error": str(exc)}
-                )
+                result.failures.append({"cell": f"{cell}x{eval_name}", "error": str(exc)})
                 continue
-            result.reports[(train_name, eval_name)] = report
-            rows.append({"train": train_name, "eval": eval_name, **_agg_cells(report)})
-            _write_cell_fields(report, out_dir, f"{train_name}__{eval_name}")
+            result.reports[(key, eval_name)] = report
+            rows.append({_ROW_KEYS[kind]: key, "eval": eval_name, **_agg_cells(report)})
+            _write_cell_fields(report, out_dir, f"{cell}__{eval_name}")
 
-    _write_rows(out_dir / "matrix.csv", ("train", "eval", *_AGG_COLUMNS), rows)
-    _write_manifest(plan, train_config, feature_config, "matrix", result.failures, out_dir)
+    _write_rows(out_dir / f"{kind}.csv", (_ROW_KEYS[kind], "eval", *_AGG_COLUMNS), rows)
+    _write_manifest(plan, train_config, feature_config, kind, result.failures, out_dir)
     if result.failures:
         raise RefparseError(
-            f"cross_matrix finished with {len(result.failures)} failed cell(s); "
+            f"{kind} finished with {len(result.failures)} failure(s); "
             f"partial results in {out_dir}"
         )
     return result
+
+
+def cross_matrix(
+    plan: ExperimentPlan,
+    train_config: TrainConfig | None = None,
+    feature_config: FeatureConfig | None = None,
+) -> ExperimentResult:
+    """Train one model per train corpus, evaluate on every eval corpus."""
+    if not plan.trains or not plan.evals:
+        raise UsageError("cross_matrix needs at least one train and one eval corpus")
+    arms = [
+        (name, name, functools.partial(read_corpus, path, name=name))
+        for name, path in plan.trains.items()
+    ]
+    return _run_cells("matrix", plan, arms, train_config, feature_config)
 
 
 def nested_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> list[Corpus]:
@@ -240,39 +272,13 @@ def size_curve(
         raise UsageError("size_curve needs a non-empty sizes list")
     if not plan.evals:
         raise UsageError("size_curve needs at least one eval corpus")
-    train_config = train_config or TrainConfig()
-    feature_config = feature_config or FeatureConfig()
-    out_dir = Path(plan.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     (train_name, train_path), = plan.trains.items()
-    corpus = read_corpus(train_path, name=train_name)
-    subsets = nested_subsets(corpus, plan.sizes, plan.seed)
-    evals = {name: read_corpus(path, name=name) for name, path in plan.evals.items()}
-
-    result = ExperimentResult(reports={})
-    rows: list[dict] = []
-    for size, subset in zip(plan.sizes, subsets):
-        try:
-            model = train(subset, feature_config, train_config)
-        except RefparseError as exc:
-            result.failures.append({"cell": f"size{size}", "error": str(exc)})
-            log.error("training at size %d failed: %s", size, exc)
-            break
-        for eval_name, eval_corpus in evals.items():
-            report = _evaluate_model(model, eval_corpus)
-            result.reports[(str(size), eval_name)] = report
-            rows.append({"size": str(size), "eval": eval_name, **_agg_cells(report)})
-            _write_cell_fields(report, out_dir, f"size{size}__{eval_name}")
-
-    _write_rows(out_dir / "curve.csv", ("size", "eval", *_AGG_COLUMNS), rows)
-    _write_manifest(plan, train_config, feature_config, "curve", result.failures, out_dir)
-    if result.failures:
-        raise RefparseError(
-            f"size_curve finished with {len(result.failures)} failed size(s); "
-            f"partial results in {out_dir}"
-        )
-    return result
+    subsets = nested_subsets(read_corpus(train_path, name=train_name), plan.sizes, plan.seed)
+    arms = [
+        (str(size), f"size{size}", lambda subset=subset: subset)
+        for size, subset in zip(plan.sizes, subsets)
+    ]
+    return _run_cells("curve", plan, arms, train_config, feature_config)
 
 
 def field_ablation(
@@ -292,50 +298,13 @@ def field_ablation(
         raise UsageError("field_ablation needs keep_labels (the shared fields)")
     if not plan.evals:
         raise UsageError("field_ablation needs at least one eval corpus")
-    train_config = train_config or TrainConfig()
-    feature_config = feature_config or FeatureConfig()
-    out_dir = Path(plan.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     (train_name, train_path), = plan.trains.items()
     full_corpus = read_corpus(train_path, name=train_name)
     keep = sort_fields(plan.keep_labels)
     if set(keep) == set(full_corpus.labels):
         raise UsageError("keep_labels equals the corpus label set; nothing ablated")
-    reduced_corpus = filter_fields(full_corpus, keep)
-
-    result = ExperimentResult(reports={})
-    rows: list[dict] = []
-    arms = (("full", full_corpus), ("reduced", reduced_corpus))
-    models: dict[str, CrfModel] = {}
-    for arm_name, corpus in arms:
-        try:
-            models[arm_name] = train(corpus, feature_config, train_config)
-        except RefparseError as exc:
-            result.failures.append({"cell": arm_name, "error": str(exc)})
-            log.error("training %s arm failed: %s", arm_name, exc)
-            break
-
-    if len(models) == len(arms):
-        for eval_name, eval_path in plan.evals.items():
-            eval_full = read_corpus(eval_path, name=eval_name)
-            eval_shared = filter_fields(eval_full, keep)
-            for arm_name, _ in arms:
-                model = models[arm_name]
-                pred = [
-                    filter_tags_sequence(predict_tags(model, inst.surfaces()), keep)
-                    for inst in eval_shared.instances
-                ]
-                report = evaluate(eval_shared, pred)
-                result.reports[(arm_name, eval_name)] = report
-                rows.append({"arm": arm_name, "eval": eval_name, **_agg_cells(report)})
-                _write_cell_fields(report, out_dir, f"{arm_name}__{eval_name}")
-
-    _write_rows(out_dir / "ablation.csv", ("arm", "eval", *_AGG_COLUMNS), rows)
-    _write_manifest(plan, train_config, feature_config, "ablation", result.failures, out_dir)
-    if result.failures:
-        raise RefparseError(
-            f"field_ablation finished with {len(result.failures)} failed arm(s); "
-            f"partial results in {out_dir}"
-        )
-    return result
+    arms = [
+        ("full", "full", lambda: full_corpus),
+        ("reduced", "reduced", lambda: filter_fields(full_corpus, keep)),
+    ]
+    return _run_cells("ablation", plan, arms, train_config, feature_config, keep)

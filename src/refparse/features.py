@@ -9,8 +9,10 @@ simply score zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import StructuralError, UsageError
@@ -31,12 +33,13 @@ def load_gazetteer_file(path) -> frozenset[str]:
     return frozenset(words)
 
 
-def builtin_gazetteers() -> dict[str, frozenset[str]]:
-    """The word lists shipped with the package."""
+@functools.cache
+def builtin_gazetteers() -> Mapping[str, frozenset[str]]:
+    """The word lists shipped with the package, read once per process."""
     root = resources.files("refparse") / "gazetteers"
-    return {
-        name: load_gazetteer_file(root / f"{name}.txt") for name in _GAZETTEER_FILES
-    }
+    return MappingProxyType(
+        {name: load_gazetteer_file(root / f"{name}.txt") for name in _GAZETTEER_FILES}
+    )
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class FeatureConfig:
     gazetteers: Mapping[str, frozenset[str]] | None = None
     min_count: int = 1
 
-    def resolved_gazetteers(self) -> dict[str, frozenset[str]]:
+    def resolved_gazetteers(self) -> Mapping[str, frozenset[str]]:
         if not self.use_gazetteers:
             return {}
         if self.gazetteers is not None:

@@ -1,8 +1,14 @@
+import base64
+import gzip
 import json
+import math
+
+import pytest
 
 import refparse as rp
 from refparse.cli import run
-from refparse.crf import save_model
+from refparse.crf import empty_model, save_model
+from refparse.features import FeatureConfig, FeatureIndex
 
 from conftest import FIGURE1_TEXT
 
@@ -121,6 +127,40 @@ def test_malformed_corpus_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.xml"
     bad.write_text("<title>a <note>nested</note></title>\n", encoding="utf-8")
     assert run(["convert", str(bad), str(tmp_path / "out.conll")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def _gz(payload: dict) -> bytes:
+    return gzip.compress(json.dumps(payload).encode("utf-8"))
+
+
+def _zeros(*shape: int) -> dict:
+    data = base64.b64encode(bytes(8 * math.prod(shape))).decode("ascii")
+    return {"shape": list(shape), "data": data}
+
+
+MALFORMED_MODELS = {
+    "gzip_json_without_tags": lambda p: _gz({k: v for k, v in p.items() if k != "tags"}),
+    "gzip_magic_then_garbage": lambda p: b"\x1f\x8b" + b"garbage" * 8,
+    "end_shape_vs_tag_count": lambda p: _gz({**p, "end": _zeros(len(p["tags"]) + 1)}),
+    "emission_shape_vs_feature_count": lambda p: _gz(
+        {**p, "emission": _zeros(len(p["feature_names"]) + 1, len(p["tags"]))}
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_model_is_data_error(corrupt, tmp_path, capsys):
+    good = tmp_path / "good.gz"
+    save_model(
+        empty_model(["author"], FeatureIndex(names=("f0", "f1")), FeatureConfig()), good
+    )
+    bad = tmp_path / "bad.gz"
+    bad.write_bytes(corrupt(json.loads(gzip.decompress(good.read_bytes()))))
+    refs = tmp_path / "refs.txt"
+    refs.write_text("A. Author, A title, 2015.\n", encoding="utf-8")
+    assert run(["parse", "--model", str(good), "--in", str(refs)]) == 0
+    assert run(["parse", "--model", str(bad), "--in", str(refs)]) == 2
     assert "data error" in capsys.readouterr().err
 
 

@@ -137,9 +137,8 @@ class TestSizeCurve:
             seed=3,
             out_dir=str(tmp_path / "c"),
         )
-        result = size_curve(plan, FAST, FeatureConfig())
+        size_curve(plan, FAST, FeatureConfig())
         # repeated size -> identical report rows
-        assert result.reports[("20", "a")] == result.reports[("20", "a")]
         lines = (tmp_path / "c" / "curve.csv").read_text().splitlines()
         assert len(lines) == 1 + 3  # header + one row per size
         first_20, second_20 = lines[1], lines[2]
@@ -210,3 +209,24 @@ class TestFieldAblation:
         full_fields = set(result.reports[("full", "a")].field.per_field)
         red_fields = set(result.reports[("reduced", "a")].field.per_field)
         assert full_fields == red_fields == set(keep)
+
+
+@pytest.mark.parametrize("run", [size_curve, field_ablation])
+def test_unreadable_eval_recorded_in_manifest(run, tiny_corpora, tmp_path):
+    root, paths = tiny_corpora
+    bad = tmp_path / "bad_eval.xml"
+    bad.write_text("<bogus>x</bogus>\n", encoding="utf-8")
+    plan = ExperimentPlan(
+        trains={"a": paths["train_a"]},
+        evals={"bad": str(bad)},
+        sizes=(20,),
+        keep_labels=("author", "title"),
+        seed=0,
+        out_dir=str(tmp_path / "out"),
+    )
+    with pytest.raises(RefparseError, match="partial results"):
+        run(plan, FAST, FeatureConfig())
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["partial"] is True
+    failures = manifest["failures"]
+    assert failures and all(f["cell"].endswith("xbad") for f in failures)
