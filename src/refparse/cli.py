@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error (bad flags or preconditions), 2 data
-error (malformed input files), 3 internal or numeric error. All diagnostics
-go to standard error; data goes where the flags say.
+Exit codes: 0 success, 1 usage error (bad flags or preconditions, or a path
+that cannot be read or written), 2 data error (malformed input files), 3
+internal or numeric error. All diagnostics go to standard error; data goes
+where the flags say.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ def cli(verbose: bool) -> None:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+def _read_text(in_path) -> str:
+    """The --in file, or stdin without one."""
+    return Path(in_path).read_text(encoding="utf-8") if in_path else sys.stdin.read()
 
 
 def _resolve_styles(spec: str):
@@ -209,13 +215,8 @@ def train(src, model_path, l2, max_epochs, tol, min_count, window,
 def parse(model_path, in_path, out_path, out_format):
     """Label raw reference strings with a trained model."""
     model = load_model(model_path)
-    lines = (
-        Path(in_path).read_text(encoding="utf-8").splitlines()
-        if in_path
-        else sys.stdin.read().splitlines()
-    )
     out_lines: list[str] = []
-    for line in lines:
+    for line in _read_text(in_path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -270,12 +271,7 @@ _experiment_command(
               help="One reference per line (default stdin).")
 def tokenize_cmd(in_path):
     """Debug tokenizer: TSV of surface/start/end per token."""
-    text = (
-        Path(in_path).read_text(encoding="utf-8")
-        if in_path
-        else sys.stdin.read()
-    )
-    for line in text.splitlines():
+    for line in _read_text(in_path).splitlines():
         for token in tokenize(line):
             click.echo(f"{token.surface}\t{token.start}\t{token.end}")
         click.echo("")
@@ -299,6 +295,12 @@ def run(argv: list[str] | None = None) -> int:
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
+    except UnicodeDecodeError as exc:  # any text input: --in, stdin, records, styles, ...
+        click.echo(f"data error: input is not UTF-8 text: {exc}", err=True)
+        return 2
+    except OSError as exc:
+        click.echo(f"usage error: {exc}", err=True)
+        return 1
     except RefparseError as exc:
         click.echo(f"error: {exc}", err=True)
         return 3

@@ -260,9 +260,12 @@ def write_conll(corpus: Corpus, path) -> None:
 def read_corpus(path, name: str | None = None) -> Corpus:
     """Dispatch on extension: .conll/.tsv -> CoNLL, anything else inline XML."""
     suffix = str(path).rsplit(".", 1)[-1].lower()
-    if suffix in ("conll", "tsv"):
-        return read_conll(path, name=name)
-    return read_inline_xml(path, name=name)
+    try:
+        if suffix in ("conll", "tsv"):
+            return read_conll(path, name=name)
+        return read_inline_xml(path, name=name)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def write_corpus(corpus: Corpus, path) -> None:
@@ -307,14 +310,11 @@ def filter_fields(corpus: Corpus, keep) -> Corpus:
     kept = sort_fields(keep)
     if not kept:
         raise UsageError("filter_fields needs a non-empty label set")
-    keep_set = set(kept)
-    instances = []
-    for inst in corpus.instances:
-        tags = tuple(
-            t if t == OUT or tag_field(t) in keep_set else OUT for t in inst.tags
-        )
-        instances.append(replace(inst, tags=tags))
-    return Corpus(name=corpus.name, labels=kept, instances=tuple(instances))
+    instances = tuple(
+        replace(inst, tags=filter_tags_sequence(inst.tags, kept))
+        for inst in corpus.instances
+    )
+    return Corpus(name=corpus.name, labels=kept, instances=instances)
 
 
 def sample(corpus: Corpus, n: int, seed: int) -> Corpus:

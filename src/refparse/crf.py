@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import gzip
 import io
+import itertools
 import json
 import logging
 import zlib
@@ -89,6 +90,8 @@ class TrainConfig:
             raise UsageError(f"l2 strength must be >= 0, got {self.l2}")
         if self.tol <= 0:
             raise UsageError(f"tolerance must be > 0, got {self.tol}")
+        if self.max_epochs < 1:
+            raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
     def to_dict(self) -> dict:
         return {
@@ -169,13 +172,14 @@ def empty_model(
 
 @dataclass(frozen=True)
 class VectorizedInstance:
-    """Feature ids per position plus optional gold tag ids."""
+    """(T, F) feature matrix, 1 where a feature is active at a position,
+    plus optional gold tag ids."""
 
-    feats: tuple[np.ndarray, ...]
+    x: sparse.csr_matrix
     gold: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.feats)
+        return self.x.shape[0]
 
 
 def vectorize(
@@ -187,15 +191,15 @@ def vectorize(
     """Map one token sequence (and optionally its gold tags) onto the model's
     feature and tag ids. Unknown features are dropped; unknown gold tags are
     a data error naming the instance."""
-    gaz = model.feature_config.resolved_gazetteers()
-    feats = tuple(
-        np.array(
-            model.feature_index.lookup_many(
-                extract(surfaces, t, model.feature_config, gazetteers=gaz)
-            ),
-            dtype=np.int64,
-        )
+    rows = [
+        model.feature_index.lookup_many(extract(surfaces, t, model.feature_config))
         for t in range(len(surfaces))
+    ]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), np.int64, indptr[-1])
+    x = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr),
+        shape=(len(rows), len(model.feature_index)),
     )
     gold = None
     if gold_tags is not None:
@@ -206,17 +210,12 @@ def vectorize(
             gold = np.array([ids[t] for t in gold_tags], dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"{name}: tag {exc.args[0]!r} not in model tag set") from None
-    return VectorizedInstance(feats=feats, gold=gold)
+    return VectorizedInstance(x=x, gold=gold)
 
 
 def emission_scores(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
     """(T, L) emission score matrix."""
-    n_tags = len(model.tags)
-    out = np.zeros((len(inst), n_tags))
-    for t, ids in enumerate(inst.feats):
-        if len(ids):
-            out[t] = model.emission[ids].sum(axis=0)
-    return out
+    return inst.x @ model.emission
 
 
 # ---------------------------------------------------------------------------
@@ -362,44 +361,20 @@ class _Batch:
         self.n = len(instances)
         self.max_t = int(self.lengths.max())
 
-        # flat position -> (t, n) and CSR feature matrix over flat positions
-        pos_t: list[int] = []
-        pos_n: list[int] = []
-        indptr = [0]
-        indices: list[np.ndarray] = []
-        gold_flat: list[np.ndarray] = []
-        for ni, inst in enumerate(instances):
-            for t, ids in enumerate(inst.feats):
-                pos_t.append(t)
-                pos_n.append(ni)
-                indices.append(ids)
-                indptr.append(indptr[-1] + len(ids))
-            gold_flat.append(inst.gold)  # type: ignore[arg-type]
-        self.pos_t = np.array(pos_t, dtype=np.int64)
-        self.pos_n = np.array(pos_n, dtype=np.int64)
-        all_indices = (
-            np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64)
-        )
-        self.x = sparse.csr_matrix(
-            (
-                np.ones(len(all_indices)),
-                all_indices,
-                np.array(indptr, dtype=np.int64),
-            ),
-            shape=(len(self.pos_t), len(model.feature_index)),
-        )
-        self.gold = np.concatenate(gold_flat)
+        # flat position -> (t, n), feature rows and gold tags over flat positions
+        starts = np.cumsum(self.lengths) - self.lengths
+        self.pos_n = np.repeat(np.arange(self.n), self.lengths)
+        self.pos_t = np.arange(len(self.pos_n)) - starts[self.pos_n]
+        self.x = sparse.vstack([inst.x for inst in instances], format="csr")
+        self.gold = np.concatenate([inst.gold for inst in instances])
 
         # observed transition / begin / end counts
+        g = self.gold
+        follows = self.pos_t[1:] > 0
         self.trans_counts = np.zeros((n_tags, n_tags))
-        self.begin_counts = np.zeros(n_tags)
-        self.end_counts = np.zeros(n_tags)
-        for inst in instances:
-            g = inst.gold
-            self.begin_counts[g[0]] += 1
-            self.end_counts[g[-1]] += 1
-            if len(g) > 1:
-                np.add.at(self.trans_counts, (g[:-1], g[1:]), 1.0)
+        np.add.at(self.trans_counts, (g[:-1][follows], g[1:][follows]), 1.0)
+        self.begin_counts = np.bincount(g[starts], minlength=n_tags)
+        self.end_counts = np.bincount(g[starts + self.lengths - 1], minlength=n_tags)
 
     def pad(self, flat: np.ndarray) -> np.ndarray:
         """Scatter (P, L) position-major values into (maxT, N, L)."""
@@ -644,5 +619,7 @@ def load_model(path) -> CrfModel:
             feature_config=FeatureConfig.from_dict(payload["feature_config"]),
             tokenizer_config=TokenizerConfig.from_dict(payload["tokenizer_config"]),
         )
-    except (LookupError, TypeError, ValueError, StructuralError) as exc:
+    except (
+        AttributeError, LookupError, TypeError, ValueError, StructuralError, UsageError
+    ) as exc:
         raise DataError(f"malformed model file: {type(exc).__name__}: {exc}") from None

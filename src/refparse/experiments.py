@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .corpus import Corpus, filter_fields, filter_tags_sequence, read_corpus
 from .crf import CrfModel, TrainConfig, predict_tags, train
-from .errors import RefparseError, UsageError
+from .errors import DataError, RefparseError, UsageError
 from .features import FeatureConfig
 from .labels import sort_fields
 from .metrics import EvalReport, evaluate, report_rows
@@ -32,6 +32,17 @@ from .metrics import EvalReport, evaluate, report_rows
 log = logging.getLogger(__name__)
 
 MANIFEST_FORMAT = "refparse-experiment-v1"
+
+
+# plan-file key -> JSON type of its value, and of the value's items
+_PLAN_TYPES = {
+    "trains": (dict, str),
+    "evals": (dict, str),
+    "sizes": (list, int),
+    "keep_labels": (list, str),
+    "seed": (int, None),
+    "out_dir": (str, None),
+}
 
 
 @dataclass(frozen=True)
@@ -49,15 +60,28 @@ class ExperimentPlan:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        """Read a plan file; a malformed plan raises DataError naming the key."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # also bytes that are not UTF-8
+            raise DataError(f"plan {path} is not JSON: {exc}") from None
+        if not isinstance(data, dict) or "out_dir" not in data:
+            raise DataError(f"plan {path} is not a JSON object with the key 'out_dir'")
+        for key, value in data.items():
+            if key not in _PLAN_TYPES:
+                raise DataError(f"plan {path} has an unknown key {key!r}")
+            kind, item = _PLAN_TYPES[key]
+            items = value.values() if isinstance(value, dict) else value
+            if type(value) is not kind or (item and any(type(x) is not item for x in items)):
+                raise DataError(f"plan {path}: bad value for {key!r}: {value!r}")
         return cls(
-            trains=dict(data.get("trains", {})),
-            evals=dict(data.get("evals", {})),
+            trains=data.get("trains", {}),
+            evals=data.get("evals", {}),
             sizes=tuple(data.get("sizes", [])),
             keep_labels=tuple(data.get("keep_labels", [])),
-            seed=int(data.get("seed", 0)),
-            out_dir=str(data["out_dir"]),
+            seed=data.get("seed", 0),
+            out_dir=data["out_dir"],
         )
 
     def to_dict(self) -> dict:

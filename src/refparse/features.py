@@ -44,6 +44,13 @@ def builtin_gazetteers() -> Mapping[str, frozenset[str]]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
+    """Feature templates of a model.
+
+    `gazetteers` is resolved at construction into a read-only mapping sorted
+    by list name: empty without `use_gazetteers`, else the given lists or,
+    when None, the builtin ones.
+    """
+
     window: int = 2
     affix_lengths: tuple[int, ...] = (1, 2, 3, 4)
     use_shape: bool = True
@@ -51,12 +58,17 @@ class FeatureConfig:
     gazetteers: Mapping[str, frozenset[str]] | None = None
     min_count: int = 1
 
-    def resolved_gazetteers(self) -> Mapping[str, frozenset[str]]:
-        if not self.use_gazetteers:
-            return {}
-        if self.gazetteers is not None:
-            return {k: frozenset(v) for k, v in self.gazetteers.items()}
-        return builtin_gazetteers()
+    def __post_init__(self) -> None:
+        if self.window < 0:
+            raise UsageError(f"window must be >= 0, got {self.window}")
+        if not self.affix_lengths or min(self.affix_lengths) < 1:
+            raise UsageError(f"need positive affix lengths, got {self.affix_lengths}")
+        if self.min_count < 1:
+            raise UsageError(f"min_count must be >= 1, got {self.min_count}")
+        gaz = builtin_gazetteers() if self.gazetteers is None else self.gazetteers
+        items = sorted(gaz.items()) if self.use_gazetteers else []
+        gaz = MappingProxyType({k: frozenset(v) for k, v in items})
+        object.__setattr__(self, "gazetteers", gaz)
 
     def to_dict(self) -> dict:
         return {
@@ -64,9 +76,7 @@ class FeatureConfig:
             "affix_lengths": list(self.affix_lengths),
             "use_shape": self.use_shape,
             "use_gazetteers": self.use_gazetteers,
-            "gazetteers": {
-                k: sorted(v) for k, v in sorted(self.resolved_gazetteers().items())
-            },
+            "gazetteers": {k: sorted(v) for k, v in self.gazetteers.items()},
             "min_count": self.min_count,
         }
 
@@ -77,7 +87,7 @@ class FeatureConfig:
             affix_lengths=tuple(data["affix_lengths"]),
             use_shape=bool(data["use_shape"]),
             use_gazetteers=bool(data["use_gazetteers"]),
-            gazetteers={k: frozenset(v) for k, v in data["gazetteers"].items()},
+            gazetteers=data["gazetteers"],
             min_count=int(data["min_count"]),
         )
 
@@ -101,22 +111,11 @@ def _is_punct(s: str) -> bool:
     return bool(s) and all(not ch.isalnum() for ch in s)
 
 
-def extract(
-    surfaces: Sequence[str],
-    position: int,
-    config: FeatureConfig,
-    gazetteers: Mapping[str, frozenset[str]] | None = None,
-) -> list[str]:
-    """Feature names for one token position.
-
-    `gazetteers` lets callers pass pre-resolved word lists; otherwise they are
-    resolved from the config on every call.
-    """
+def extract(surfaces: Sequence[str], position: int, config: FeatureConfig) -> list[str]:
+    """Feature names for one token position."""
     n = len(surfaces)
     if not 0 <= position < n:
         raise StructuralError(f"position {position} out of range for {n} tokens")
-    gaz = config.resolved_gazetteers() if gazetteers is None else gazetteers
-    gaz_items = sorted(gaz.items())
 
     feats: list[str] = []
     for off in range(-config.window, config.window + 1):
@@ -138,7 +137,7 @@ def extract(
             feats.append(f"ispunct[{off}]")
         if s[:1].isupper():
             feats.append(f"iscap[{off}]")
-        for name, words in gaz_items:
+        for name, words in config.gazetteers.items():
             if low in words:
                 feats.append(f"gaz[{off}]={name}")
 
@@ -217,7 +216,6 @@ def corpus_features(
 
     `instances` is an iterable of surface-string sequences.
     """
-    gaz = config.resolved_gazetteers()
     for surfaces in instances:
         for pos in range(len(surfaces)):
-            yield extract(surfaces, pos, config, gazetteers=gaz)
+            yield extract(surfaces, pos, config)

@@ -16,6 +16,11 @@ from .errors import NumericError
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+HISTORY = 6  # (s, y) pairs kept for the inverse-Hessian estimate
+C1 = 1e-4  # Armijo sufficient-decrease constant
+SHRINK = 0.5  # step factor per backtrack
+MAX_BACKTRACKS = 40
+
 
 @dataclass
 class OptResult:
@@ -49,10 +54,6 @@ def minimize(
     x0: np.ndarray,
     max_iter: int = 200,
     rel_tol: float = 1e-4,
-    history: int = 6,
-    c1: float = 1e-4,
-    shrink: float = 0.5,
-    max_backtracks: int = 40,
 ) -> OptResult:
     """Minimize fun, stopping when the relative decrease per accepted step
     falls below rel_tol or max_iter steps were accepted."""
@@ -81,14 +82,14 @@ def minimize(
         # a conservative first step before any curvature is known
         step = 1.0 if y_list else min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
             f_new, g_new = fun(x_new)
             n_evals += 1
-            if np.isfinite(f_new) and f_new <= f + c1 * step * gd:
+            if np.isfinite(f_new) and f_new <= f + C1 * step * gd:
                 accepted = True
                 break
-            step *= shrink
+            step *= SHRINK
         if not accepted:
             # no acceptable step along d: treat as converged at x
             converged = True
@@ -101,7 +102,7 @@ def minimize(
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > history:
+            if len(s_list) > HISTORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

@@ -21,6 +21,7 @@ of the matching kind.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, observed_labels
-from .errors import TemplateError, UsageError
+from .errors import DataError, TemplateError, UsageError
 from .labels import LabeledReference
 from .tokenizer import DEFAULT_TOKENIZER, TokenizerConfig, tags_from_spans, tokenize
 
@@ -116,13 +117,15 @@ def record_from_dict(data: dict) -> BibRecord:
 
 
 def read_records(path) -> list[BibRecord]:
-    """JSON-lines, one record per line."""
+    """JSON-lines, one record per line; a malformed line is a DataError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    records.append(record_from_dict(json.loads(line)))
+            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                raise DataError(f"bad record: {type(exc).__name__}: {exc}", lineno) from None
     return records
 
 
@@ -684,20 +687,11 @@ def random_records(n: int, seed: int) -> list[BibRecord]:
 
 def _fill_shape(shape: str, rng: np.random.Generator) -> str:
     """Fill every {...} place-holder in a title shape with a fresh word."""
-    out = []
-    i = 0
-    while i < len(shape):
-        ch = shape[i]
-        if ch == "{":
-            end = shape.index("}", i)
-            kind = shape[i + 1 : end]
-            pool = _ADJ if kind.lower() == "adj" else _NOUN
-            word = pool[int(rng.integers(len(pool)))]
-            if kind[0].isupper():
-                word = word.capitalize()
-            out.append(word)
-            i = end + 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+
+    def word(m: re.Match) -> str:
+        kind = m.group(1)
+        pool = _ADJ if kind.lower() == "adj" else _NOUN
+        w = pool[int(rng.integers(len(pool)))]
+        return w.capitalize() if kind[0].isupper() else w
+
+    return re.sub(r"\{(\w+)\}", word, shape)

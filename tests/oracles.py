@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy import sparse
 
 from refparse import crf
 from refparse.features import FeatureConfig, FeatureIndex
@@ -36,10 +37,31 @@ def random_model(rng: np.random.Generator, n_fields: int = 2, n_feats: int = 8):
     )
 
 
+def instance(rows, n_feats: int, gold=None):
+    """A VectorizedInstance whose position t has the feature ids rows[t]."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([i for r in rows for i in r], dtype=np.int64)
+    x = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(len(rows), n_feats)
+    )
+    return crf.VectorizedInstance(x=x, gold=gold)
+
+
+def emissions(inst, model) -> np.ndarray:
+    """(T, L) emission scores: model.emission rows summed over each row's ids."""
+    x = inst.x
+    return np.array(
+        [
+            model.emission[x.indices[x.indptr[t] : x.indptr[t + 1]]].sum(axis=0)
+            for t in range(x.shape[0])
+        ]
+    ).reshape(x.shape[0], model.emission.shape[1])
+
+
 def random_instance(
     rng: np.random.Generator, model, length: int, with_gold: bool = False
 ):
-    feats = tuple(
+    rows = [
         np.sort(
             rng.choice(
                 len(model.feature_index),
@@ -48,7 +70,7 @@ def random_instance(
             )
         )
         for _ in range(length)
-    )
+    ]
     gold = None
     if with_gold:
         tags = []
@@ -65,12 +87,12 @@ def random_instance(
             tags.append(tag)
             prev = tag
         gold = np.array([model.tags.index(t) for t in tags], dtype=np.int64)
-    return crf.VectorizedInstance(feats=feats, gold=gold)
+    return instance(rows, len(model.feature_index), gold)
 
 
 def path_score_by_summation(inst, model, path) -> float:
     """score_path recomputed by direct summation over one path."""
-    e = crf.emission_scores(inst, model)
+    e = emissions(inst, model)
     total = model.begin[path[0]] + e[0, path[0]]
     for t in range(1, len(path)):
         total += model.transition[path[t - 1], path[t]] + e[t, path[t]]
@@ -92,7 +114,7 @@ def enumerate_all(inst, model):
     """
     n_tags = len(model.tags)
     length = len(inst)
-    e = crf.emission_scores(inst, model)
+    e = emissions(inst, model)
     paths = _all_paths(n_tags, length)
     with np.errstate(invalid="ignore"):
         scores = model.begin[paths[:, 0]] + e[0, paths[:, 0]] + model.end[paths[:, -1]]

@@ -146,6 +146,9 @@ MALFORMED_MODELS = {
     "emission_shape_vs_feature_count": lambda p: _gz(
         {**p, "emission": _zeros(len(p["feature_names"]) + 1, len(p["tags"]))}
     ),
+    "negative_window": lambda p: _gz(
+        {**p, "feature_config": {**p["feature_config"], "window": -1}}
+    ),
 }
 
 
@@ -175,6 +178,92 @@ def test_bad_ratio_is_usage_error(tmp_path, capsys):
     )
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"A. Author, \xff\xfe title, 2015.\n"
+GOOD_CORPUS = b"<author>A. Author</author>, <title>A title</title>, <date>2015</date>.\n"
+
+# id -> (files written into the test directory, argv with {d} for that
+# directory, exit code, text the diagnostic must contain)
+BAD_CLI_INPUTS = {
+    "plan_not_json": ({"plan.json": b"{bad"}, ["matrix", "{d}/plan.json"], 2, "plan"),
+    "plan_not_object": ({"plan.json": b"[1, 2]"}, ["curve", "{d}/plan.json"], 2, "plan"),
+    "plan_without_out_dir": (
+        {"plan.json": b'{"trains": {}}'}, ["ablation", "{d}/plan.json"], 2, "out_dir"
+    ),
+    "plan_bad_sizes": (
+        {"plan.json": b'{"sizes": ["10"], "out_dir": "o"}'},
+        ["curve", "{d}/plan.json"], 2, "sizes",
+    ),
+    "parse_in_not_utf8": (
+        {"refs.txt": NOT_UTF8}, ["parse", "--model", "{d}/m.gz", "--in", "{d}/refs.txt"],
+        2, "UTF-8",
+    ),
+    "eval_xml_not_utf8": (
+        {"g.xml": NOT_UTF8}, ["eval", "--model", "{d}/m.gz", "--gold", "{d}/g.xml"],
+        2, "UTF-8",
+    ),
+    "eval_conll_not_utf8": (
+        {"g.conll": b"A.\tB-author\n\xff\tO\n"},
+        ["eval", "--model", "{d}/m.gz", "--gold", "{d}/g.conll"], 2, "UTF-8",
+    ),
+    "records_not_utf8": (
+        {"r.jsonl": b'{"title": "\xff", "year": 2001}\n'},
+        ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--out", "{d}/c.xml"],
+        2, "UTF-8",
+    ),
+    "style_not_utf8": (
+        {"r.jsonl": b'{"title": "T", "year": 2001}\n', "x.style": b"name: \xff\n"},
+        ["generate", "--records", "{d}/r.jsonl", "--styles", "{d}", "--n", "2",
+         "--out", "{d}/c.xml"],
+        2, "UTF-8",
+    ),
+    "gazetteer_not_utf8": (
+        {"c.xml": GOOD_CORPUS, "g.txt": b"vol\n\xff\n"},
+        ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--gazetteer-dir", "{d}"],
+        2, "UTF-8",
+    ),
+    "records_bad_json": (
+        {"r.jsonl": b'{"title": "T", "year": 2001}\n{bad\n'},
+        ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--out", "{d}/c.xml"],
+        2, "line 2",
+    ),
+    "records_without_year": (
+        {"r.jsonl": b'{"title": "T"}\n'},
+        ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--out", "{d}/c.xml"],
+        2, "line 1",
+    ),
+    "split_into_missing_dir": (
+        {"c.xml": GOOD_CORPUS * 4},
+        ["split", "{d}/c.xml", "--ratio", "0.5", "--train-out", "{d}/no/tr.xml",
+         "--eval-out", "{d}/ev.xml"],
+        1, "no/tr.xml",
+    ),
+    "train_negative_window": (
+        {"c.xml": GOOD_CORPUS},
+        ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--window", "-1"], 1, "window",
+    ),
+    "train_zero_max_epochs": (
+        {"c.xml": GOOD_CORPUS},
+        ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--max-epochs", "0"],
+        1, "max_epochs",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CLI_INPUTS.values(), ids=BAD_CLI_INPUTS.keys())
+def test_bad_input_exits_with_documented_code(case, tmp_path, capsys):
+    files, argv, code, message = case
+    save_model(
+        empty_model(["author"], FeatureIndex(names=("f0",)), FeatureConfig()),
+        tmp_path / "m.gz",
+    )
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run([a.format(d=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out.gz").exists()
 
 
 def test_parse_figure_string_end_to_end(tmp_path, small_model_and_eval, capsys):

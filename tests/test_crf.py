@@ -6,7 +6,13 @@ import refparse as rp
 from refparse import crf, optim
 from refparse.corpus import Corpus
 from refparse.errors import DataError, NumericError, StructuralError, UsageError
-from refparse.features import FeatureConfig, FeatureIndex
+from refparse.features import (
+    FeatureConfig,
+    FeatureIndex,
+    build_index,
+    corpus_features,
+    extract,
+)
 
 import oracles
 
@@ -27,10 +33,28 @@ def unconstrained_model(n_tags: int, n_feats: int = 4) -> crf.CrfModel:
     )
 
 
-def simple_instance(feats_per_pos):
-    return crf.VectorizedInstance(
-        feats=tuple(np.array(f, dtype=np.int64) for f in feats_per_pos)
-    )
+def simple_instance(feats_per_pos, gold=None, n_feats: int = 4):
+    return oracles.instance(feats_per_pos, n_feats, gold)
+
+
+class TestVectorize:
+    def test_rows_hold_extracted_ids(self):
+        cfg = FeatureConfig(window=1)
+        index = build_index(corpus_features([["Proceedings", "of", "2015"]], cfg))
+        m = crf.empty_model(["author"], index, cfg)
+        surfaces = ["Proceedings", "vol", "2015", "."]
+        x = crf.vectorize(surfaces, m).x
+        assert x.shape == (len(surfaces), len(index))
+        for t in range(len(surfaces)):
+            row = x.indices[x.indptr[t] : x.indptr[t + 1]]
+            assert row.tolist() == index.lookup_many(extract(surfaces, t, cfg))
+        np.testing.assert_array_equal(x.data, 1.0)
+
+
+@pytest.mark.parametrize("max_epochs", [0, -1])
+def test_train_config_rejects_no_epochs(max_epochs):
+    with pytest.raises(UsageError):
+        crf.TrainConfig(max_epochs=max_epochs)
 
 
 class TestScorePath:
@@ -77,7 +101,7 @@ class TestLogPartition:
             FeatureIndex(names=("f0",)),
             FeatureConfig(use_gazetteers=False),
         )
-        inst = simple_instance([[0]])
+        inst = simple_instance([[0]], n_feats=1)
         # I-author cannot start, so 2 valid start tags
         assert crf.log_partition(inst, m) == pytest.approx(np.log(2))
 
@@ -108,7 +132,7 @@ class TestViterbi:
             FeatureIndex(names=("f0",)),
             FeatureConfig(use_gazetteers=False),
         )
-        inst = simple_instance([[0], [0], [0]])
+        inst = simple_instance([[0], [0], [0]], n_feats=1)
         assert crf.viterbi(inst, m) == ("O", "O", "O")
 
     def test_emission_pull_wins(self):
@@ -168,10 +192,7 @@ class TestMarginals:
 class TestNllAndGradient:
     def test_zero_weight_nll_is_t_log_l(self):
         m = unconstrained_model(3)
-        inst = crf.VectorizedInstance(
-            feats=(np.array([0]), np.array([1]), np.array([2]), np.array([3])),
-            gold=np.array([0, 1, 2, 0]),
-        )
+        inst = simple_instance([[0], [1], [2], [3]], gold=np.array([0, 1, 2, 0]))
         nll, _ = crf.nll_and_gradient([inst], m, l2=0.0)
         assert nll == pytest.approx(4 * np.log(3))
 
@@ -179,9 +200,7 @@ class TestNllAndGradient:
         # zero weights, two unconstrained tags, one feature active once
         # under the gold tag: gradient entry = 1/2 - 1 = -0.5
         m = unconstrained_model(2)
-        inst = crf.VectorizedInstance(
-            feats=(np.array([1]),), gold=np.array([1])
-        )
+        inst = simple_instance([[1]], gold=np.array([1]))
         _, grad = crf.nll_and_gradient([inst], m, l2=0.0)
         assert grad.emission[1, 1] == pytest.approx(-0.5)
         assert grad.emission[1, 0] == pytest.approx(0.5)
@@ -248,12 +267,7 @@ class TestNumericalRobustness:
             end=np.full(m.end.shape, 50.0),
         )
         length = 10_000
-        inst = crf.VectorizedInstance(
-            feats=tuple(
-                np.array([int(rng.integers(4))], dtype=np.int64)
-                for _ in range(length)
-            )
-        )
+        inst = oracles.instance([[int(rng.integers(4))] for _ in range(length)], 4)
         logz = crf.log_partition(inst, m)
         assert np.isfinite(logz)
         marg = crf.marginals(inst, m)

@@ -101,4 +101,24 @@ def test_config_round_trips_through_dict():
     cfg = FeatureConfig(window=1, min_count=2)
     back = FeatureConfig.from_dict(cfg.to_dict())
     assert back.window == 1 and back.min_count == 2
-    assert back.resolved_gazetteers() == cfg.resolved_gazetteers()
+    assert back.gazetteers == cfg.gazetteers
+
+
+def test_gazetteers_resolved_at_construction():
+    off = FeatureConfig(use_gazetteers=False, gazetteers={"months": {"may"}})
+    assert dict(off.gazetteers) == {}
+    cfg = FeatureConfig(gazetteers={"zeta": ["b", "a"], "alpha": {"c"}})
+    assert list(cfg.gazetteers) == ["alpha", "zeta"]
+    back = FeatureConfig.from_dict(cfg.to_dict())
+    assert dict(back.gazetteers) == {"alpha": frozenset("c"), "zeta": frozenset("ab")}
+    assert list(FeatureConfig().gazetteers) == sorted(builtin_gazetteers())
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"window": -1}, {"affix_lengths": ()}, {"affix_lengths": (0, 2)}, {"min_count": 0}],
+    ids=["negative_window", "no_affixes", "zero_affix", "zero_min_count"],
+)
+def test_config_rejects_bad_numbers(kwargs):
+    with pytest.raises(UsageError):
+        FeatureConfig(**kwargs)
