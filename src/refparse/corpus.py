@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, StructuralError, UsageError
 from .labels import (
     OUT,
     LabeledReference,
@@ -206,7 +206,7 @@ def read_conll(path, name: str | None = None) -> Corpus:
     surfaces with single spaces (the format does not keep spacing)."""
     declared: tuple[str, ...] | None = None
     instances: list[LabeledReference] = []
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[str, str, int]] = []  # surface, tag, line number
 
     def flush() -> None:
         if not rows:
@@ -218,9 +218,12 @@ def read_conll(path, name: str | None = None) -> Corpus:
         for s in surfaces:
             tokens.append(Token(s, pos, pos + len(s)))
             pos += len(s) + 1
-        instances.append(
-            LabeledReference(raw=raw, tokens=tuple(tokens), tags=tuple(r[1] for r in rows))
-        )
+        try:
+            instances.append(
+                LabeledReference(raw=raw, tokens=tuple(tokens), tags=tuple(r[1] for r in rows))
+            )
+        except StructuralError as exc:
+            raise DataError(str(exc), rows[0][2]) from None
         rows.clear()
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -242,7 +245,7 @@ def read_conll(path, name: str | None = None) -> Corpus:
                 kind, _, fname = tag.partition("-")
                 if kind not in ("B", "I") or not is_field_label(fname):
                     raise DataError(f"malformed tag {tag!r}", lineno)
-            rows.append((surface, tag))
+            rows.append((surface, tag, lineno))
     flush()
     labels = declared if declared is not None else observed_labels(instances)
     return Corpus(name=name or str(path), labels=labels, instances=tuple(instances))

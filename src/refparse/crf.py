@@ -226,6 +226,8 @@ def score_path(inst: VectorizedInstance, tags: Sequence[str], model: CrfModel) -
     """Sum of emission and transition weights along one tag path."""
     if len(tags) != len(inst):
         raise StructuralError(f"{len(tags)} tags for {len(inst)} positions")
+    if len(inst) == 0:
+        raise StructuralError("score_path of a zero-length instance")
     ids = model.tag_ids
     try:
         path = [ids[t] for t in tags]
@@ -239,45 +241,51 @@ def score_path(inst: VectorizedInstance, tags: Sequence[str], model: CrfModel) -
     return float(total)
 
 
-def _forward_backward(
-    e_pad: np.ndarray, lengths: np.ndarray, model: CrfModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-space forward and backward tables over a padded batch.
+def _count_above(counts: np.ndarray) -> np.ndarray:
+    """out[k] = number of counts above k: instance lengths -> step widths,
+    and step widths -> the lengths sorted longest first."""
+    return np.bincount(counts - 1)[::-1].cumsum()[::-1]
 
-    `e_pad` is (maxT, N, L) emission scores and `lengths` the N instance
-    lengths. Returns alphas and betas (maxT, N, L), which are meaningful at
-    t < lengths[n] only, and logz (N,).
+
+def _last_rows(widths: np.ndarray) -> np.ndarray:
+    """Packed row of each instance's last position, longest instance first."""
+    starts = np.cumsum(widths) - widths
+    return starts[_count_above(widths) - 1] + np.arange(widths[0])
+
+
+def _forward_backward(
+    e: np.ndarray, widths: np.ndarray, model: CrfModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-space forward and backward tables over a packed batch.
+
+    The instances are sorted longest first and laid out time-major: step t
+    is one block of `widths[t]` rows, and its rows continue the first
+    `widths[t]` rows of step t-1. `e` holds the (P, L) emission scores in
+    that order. Returns alphas and betas (P, L) in the same order, and logz
+    (N,) per instance, longest first.
     """
-    max_t, n, n_tags = e_pad.shape
+    starts = np.cumsum(widths) - widths
     exp_trans = np.exp(model.transition)
 
-    # forward; rows past their instance's end carry the last alpha along
-    alphas = np.empty_like(e_pad)
-    a = np.broadcast_to(model.begin, (n, n_tags)) + e_pad[0]
-    alphas[0] = a
+    alphas = np.empty_like(e)
+    alphas[: widths[0]] = model.begin + e[: widths[0]]
+    # rows on an instance's last position keep `end`; the rest are overwritten
+    betas = np.tile(model.end, (len(e), 1))
     with np.errstate(divide="ignore"):
-        for t in range(1, max_t):
-            m = a.max(axis=1, keepdims=True)
-            a_new = m + np.log(np.exp(a - m) @ exp_trans) + e_pad[t]
-            a = np.where((t < lengths)[:, None], a_new, a)
-            alphas[t] = a
-    final = a + model.end
+        for t in range(1, len(widths)):
+            prev = slice(starts[t - 1], starts[t - 1] + widths[t])
+            rows = slice(starts[t], starts[t] + widths[t])
+            m = alphas[prev].max(axis=1, keepdims=True)
+            alphas[rows] = m + np.log(np.exp(alphas[prev] - m) @ exp_trans) + e[rows]
+        for t in range(len(widths) - 1, 0, -1):
+            prev = slice(starts[t - 1], starts[t - 1] + widths[t])
+            rows = slice(starts[t], starts[t] + widths[t])
+            v = betas[rows] + e[rows]
+            m = v.max(axis=1, keepdims=True)
+            betas[prev] = m + np.log(np.exp(v - m) @ exp_trans.T)
+    final = alphas[_last_rows(widths)] + model.end
     m = final.max(axis=1, keepdims=True)
     logz = m[:, 0] + np.log(np.exp(final - m).sum(axis=1))
-
-    # backward; rows restart at `end` on each instance's last position
-    betas = np.empty_like(e_pad)
-    b = np.broadcast_to(model.end, (n, n_tags)).copy()
-    betas[max_t - 1] = b
-    last_pos = lengths - 1
-    exp_trans_t = exp_trans.T
-    with np.errstate(divide="ignore"):
-        for t in range(max_t - 2, -1, -1):
-            v = b + e_pad[t + 1]
-            m = v.max(axis=1, keepdims=True)
-            b_new = m + np.log(np.exp(v - m) @ exp_trans_t)
-            b = np.where((last_pos == t)[:, None], model.end, b_new)
-            betas[t] = b
     return alphas, betas, logz
 
 
@@ -285,8 +293,8 @@ def log_partition(inst: VectorizedInstance, model: CrfModel) -> float:
     """log of the summed exponentiated scores over all tag paths."""
     if len(inst) == 0:
         raise StructuralError("log_partition of a zero-length instance")
-    e = emission_scores(inst, model)[:, None]
-    _, _, logz = _forward_backward(e, np.array([len(inst)]), model)
+    e = emission_scores(inst, model)
+    _, _, logz = _forward_backward(e, np.ones(len(inst), dtype=np.int64), model)
     return float(logz[0])
 
 
@@ -294,9 +302,9 @@ def marginals(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
     """(T, L) per-position tag posteriors; rows sum to 1."""
     if len(inst) == 0:
         raise StructuralError("marginals of a zero-length instance")
-    e = emission_scores(inst, model)[:, None]
-    alphas, betas, logz = _forward_backward(e, np.array([len(inst)]), model)
-    return np.exp(alphas[:, 0] + betas[:, 0] - logz[0])
+    e = emission_scores(inst, model)
+    alphas, betas, logz = _forward_backward(e, np.ones(len(inst), dtype=np.int64), model)
+    return np.exp(alphas + betas - logz[0])
 
 
 def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
@@ -345,7 +353,9 @@ class CrfGradient:
 
 
 class _Batch:
-    """Padded, CSR-backed view of a list of vectorized gold instances."""
+    """Vectorized gold instances packed for `_forward_backward`: sorted
+    longest first (stable), then laid out time-major, so that every
+    per-position array of the batch shares one (P, L) row order."""
 
     def __init__(self, instances: Sequence[VectorizedInstance], model: CrfModel):
         if not instances:
@@ -356,63 +366,54 @@ class _Batch:
             if len(inst) == 0:
                 raise StructuralError("zero-length instance in batch")
         n_tags = len(model.tags)
-        self.n_tags = n_tags
-        self.lengths = np.array([len(i) for i in instances], dtype=np.int64)
-        self.n = len(instances)
-        self.max_t = int(self.lengths.max())
+        lengths = np.array([len(i) for i in instances], dtype=np.int64)
+        order = np.argsort(-lengths, kind="stable")
+        self.widths = _count_above(lengths)
+        starts = np.cumsum(self.widths) - self.widths
 
-        # flat position -> (t, n), feature rows and gold tags over flat positions
-        starts = np.cumsum(self.lengths) - self.lengths
-        self.pos_n = np.repeat(np.arange(self.n), self.lengths)
-        self.pos_t = np.arange(len(self.pos_n)) - starts[self.pos_n]
-        self.x = sparse.vstack([inst.x for inst in instances], format="csr")
-        self.gold = np.concatenate([inst.gold for inst in instances])
+        # packed row -> (step, slot in sorted order) -> instance-major row
+        step = np.repeat(np.arange(len(self.widths)), self.widths)
+        self.slot = np.arange(len(step)) - starts[step]
+        first = np.cumsum(lengths) - lengths
+        source = first[order[self.slot]] + step
+        self.x = sparse.vstack([inst.x for inst in instances], format="csr")[source]
+        self.gold = np.concatenate([inst.gold for inst in instances])[source]
+        # the row of step t-1 continued by each row of steps 1, 2, ...
+        w0 = self.widths[0]
+        self.prev = np.arange(w0, len(step)) - np.repeat(self.widths[:-1], self.widths[1:])
+        self.last = _last_rows(self.widths)
 
         # observed transition / begin / end counts
         g = self.gold
-        follows = self.pos_t[1:] > 0
         self.trans_counts = np.zeros((n_tags, n_tags))
-        np.add.at(self.trans_counts, (g[:-1][follows], g[1:][follows]), 1.0)
-        self.begin_counts = np.bincount(g[starts], minlength=n_tags)
-        self.end_counts = np.bincount(g[starts + self.lengths - 1], minlength=n_tags)
-
-    def pad(self, flat: np.ndarray) -> np.ndarray:
-        """Scatter (P, L) position-major values into (maxT, N, L)."""
-        out = np.zeros((self.max_t, self.n, flat.shape[1]))
-        out[self.pos_t, self.pos_n] = flat
-        return out
+        np.add.at(self.trans_counts, (g[self.prev], g[w0:]), 1.0)
+        self.begin_counts = np.bincount(g[:w0], minlength=n_tags)
+        self.end_counts = np.bincount(g[self.last], minlength=n_tags)
 
 
 def _batch_nll_grad(
     batch: _Batch, model: CrfModel, l2: float
 ) -> tuple[float, CrfGradient]:
-    n_tags = batch.n_tags
     tmask, bmask = _structure_masks(model.tags)
-    e_flat = batch.x @ model.emission  # (P, L)
-    e_pad = batch.pad(e_flat)  # (maxT, N, L)
-    alphas, betas, logz = _forward_backward(e_pad, batch.lengths, model)
+    w0 = batch.widths[0]
+    e = batch.x @ model.emission  # (P, L)
+    alphas, betas, logz = _forward_backward(e, batch.widths, model)
+    logz_rows = logz[batch.slot, None]
 
-    # per-position posteriors, flattened back to position-major order;
-    # the exponent is <= 0 up to rounding, and clipping also neutralizes
-    # garbage values at padded positions
-    mu_pad = np.exp(np.minimum(alphas + betas - logz[None, :, None], 0.0))
-    mu_flat = mu_pad[batch.pos_t, batch.pos_n]
+    # per-position posteriors; the exponent is <= 0 up to rounding
+    mu = np.exp(np.minimum(alphas + betas - logz_rows, 0.0))
 
-    # expected transition counts: sum_t exp(alpha[t-1,i]) exp(trans) exp(c[t,j])
-    d = np.zeros((n_tags, n_tags))
-    for t in range(1, batch.max_t):
-        a_prev = alphas[t - 1]
-        s1 = a_prev.max(axis=1, keepdims=True)
-        c = e_pad[t] + betas[t] - logz[:, None] + s1
-        left = np.exp(a_prev - s1)
-        right = np.exp(np.minimum(c, _EXP_CAP))
-        left[t >= batch.lengths] = 0.0
-        d += left.T @ right
-    expected_trans = d * np.exp(model.transition)
+    # expected transition counts over every row r of steps 1, 2, ...:
+    # sum_r exp(alpha[prev r, i]) exp(trans[i, j]) exp(e + beta - logz)[r, j]
+    a_prev = alphas[batch.prev]
+    s1 = a_prev.max(axis=1, keepdims=True)
+    left = np.exp(a_prev - s1)
+    right = np.exp(np.minimum(e[w0:] + betas[w0:] - logz_rows[w0:] + s1, _EXP_CAP))
+    expected_trans = (left.T @ right) * np.exp(model.transition)
 
     # gold path score
     p_idx = np.arange(len(batch.gold))
-    gold_score = float(e_flat[p_idx, batch.gold].sum())
+    gold_score = float(e[p_idx, batch.gold].sum())
     gold_score += float((model.transition[tmask] * batch.trans_counts[tmask]).sum())
     gold_score += float((model.begin[bmask] * batch.begin_counts[bmask]).sum())
     gold_score += float((model.end * batch.end_counts).sum())
@@ -420,34 +421,24 @@ def _batch_nll_grad(
     nll = float(logz.sum()) - gold_score
 
     # gradients: expected - observed (+ l2 * w)
-    residual = mu_flat
-    residual[p_idx, batch.gold] -= 1.0
-    grad_emission = np.asarray(batch.x.T @ residual)
     grad_trans = expected_trans - batch.trans_counts
     grad_trans[~tmask] = 0.0
-    grad_begin = mu_pad[0].sum(axis=0) - batch.begin_counts
+    grad_begin = mu[:w0].sum(axis=0) - batch.begin_counts
     grad_begin[~bmask] = 0.0
-    mu_last = mu_pad[batch.lengths - 1, np.arange(batch.n)]
-    grad_end = mu_last.sum(axis=0) - batch.end_counts
+    grad_end = mu[batch.last].sum(axis=0) - batch.end_counts
+    residual = mu
+    residual[p_idx, batch.gold] -= 1.0
+    grad_emission = np.asarray(batch.x.T @ residual)
 
     if l2:
-        nll += 0.5 * l2 * (
-            float((model.emission**2).sum())
-            + float((model.transition[tmask] ** 2).sum())
-            + float((model.begin[bmask] ** 2).sum())
-            + float((model.end**2).sum())
-        )
+        w = _pack(model, tmask, bmask)
+        nll += 0.5 * l2 * float(w @ w)
         grad_emission += l2 * model.emission
         grad_trans[tmask] += l2 * model.transition[tmask]
         grad_begin[bmask] += l2 * model.begin[bmask]
         grad_end += l2 * model.end
 
-    return nll, CrfGradient(
-        emission=grad_emission,
-        transition=grad_trans,
-        begin=grad_begin,
-        end=grad_end,
-    )
+    return nll, CrfGradient(grad_emission, grad_trans, grad_begin, grad_end)
 
 
 def nll_and_gradient(
@@ -546,6 +537,12 @@ def train(
         log.info("epoch %d: nll %.6f", step, value)
         if training_log is not None:
             training_log.append((step, value))
+    if not result.converged:
+        log.warning(
+            "training stopped at max_epochs=%d before converging "
+            "(%d steps, %d objective evaluations)",
+            train_config.max_epochs, result.log[-1][0], result.n_evals,
+        )
     return _unpack(result.x, model, tmask, bmask)
 
 

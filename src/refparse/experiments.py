@@ -57,6 +57,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if list(self.sizes) != sorted(self.sizes):
             raise UsageError("plan sizes must be sorted ascending")
+        if any(size < 1 for size in self.sizes):
+            raise UsageError(f"plan sizes must be >= 1, got {list(self.sizes)}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":

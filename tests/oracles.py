@@ -19,8 +19,10 @@ from refparse.features import FeatureConfig, FeatureIndex
 FIELDS = ("author", "title", "date")
 
 
-def random_model(rng: np.random.Generator, n_fields: int = 2, n_feats: int = 8):
-    """A model with uniform random weights on all free parameters."""
+def random_model(
+    rng: np.random.Generator, n_fields: int = 2, n_feats: int = 8, scale: float = 2.0
+):
+    """A model with weights uniform in [-scale, scale] on all free parameters."""
     index = FeatureIndex(names=tuple(f"f{i}" for i in range(n_feats)))
     model = crf.empty_model(
         FIELDS[:n_fields], index, FeatureConfig(use_gazetteers=False)
@@ -28,12 +30,12 @@ def random_model(rng: np.random.Generator, n_fields: int = 2, n_feats: int = 8):
     tmask, bmask = crf._structure_masks(model.tags)
     return replace(
         model,
-        emission=rng.uniform(-2, 2, size=model.emission.shape),
+        emission=rng.uniform(-scale, scale, size=model.emission.shape),
         transition=np.where(
-            tmask, rng.uniform(-2, 2, size=model.transition.shape), -np.inf
+            tmask, rng.uniform(-scale, scale, size=model.transition.shape), -np.inf
         ),
-        begin=np.where(bmask, rng.uniform(-2, 2, size=model.begin.shape), -np.inf),
-        end=rng.uniform(-2, 2, size=model.end.shape),
+        begin=np.where(bmask, rng.uniform(-scale, scale, size=model.begin.shape), -np.inf),
+        end=rng.uniform(-scale, scale, size=model.end.shape),
     )
 
 
@@ -97,6 +99,14 @@ def path_score_by_summation(inst, model, path) -> float:
     for t in range(1, len(path)):
         total += model.transition[path[t - 1], path[t]] + e[t, path[t]]
     return float(total + model.end[path[-1]])
+
+
+def nll(instances, model) -> float:
+    """Unregularized batch NLL: enumerated logZ minus the gold path score."""
+    return sum(
+        enumerate_all(inst, model)[0] - path_score_by_summation(inst, model, inst.gold)
+        for inst in instances
+    )
 
 
 def _all_paths(n_tags: int, length: int) -> np.ndarray:

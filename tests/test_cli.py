@@ -207,6 +207,10 @@ BAD_CLI_INPUTS = {
         {"g.conll": b"A.\tB-author\n\xff\tO\n"},
         ["eval", "--model", "{d}/m.gz", "--gold", "{d}/g.conll"], 2, "UTF-8",
     ),
+    "eval_conll_breaks_iob2": (
+        {"g.conll": b"Smith\tI-author\n"},
+        ["eval", "--model", "{d}/m.gz", "--gold", "{d}/g.conll"], 2, "line 1",
+    ),
     "records_not_utf8": (
         {"r.jsonl": b'{"title": "\xff", "year": 2001}\n'},
         ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--out", "{d}/c.xml"],

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -90,6 +92,11 @@ class TestScorePath:
         m = unconstrained_model(2)
         with pytest.raises(StructuralError):
             crf.score_path(simple_instance([[0]]), ["O", "O"], m)
+
+    def test_zero_length_rejected(self):
+        m = unconstrained_model(2)
+        with pytest.raises(StructuralError):
+            crf.score_path(simple_instance([]), [], m)
 
 
 class TestLogPartition:
@@ -213,11 +220,23 @@ class TestNllAndGradient:
             for _ in range(4)
         ]
         nll, _ = crf.nll_and_gradient(insts, m, l2=0.0)
-        expected = 0.0
-        for inst in insts:
-            logz, _, _ = oracles.enumerate_all(inst, m)
-            expected += logz - oracles.path_score_by_summation(inst, m, inst.gold)
-        assert nll == pytest.approx(expected, rel=1e-10)
+        assert nll == pytest.approx(oracles.nll(insts, m), rel=1e-10)
+
+    def test_batch_order_does_not_matter(self):
+        # tied lengths, distinct lengths and length 1 all in one batch
+        rng = np.random.default_rng(9)
+        m = oracles.random_model(rng, n_fields=2)
+        insts = [
+            oracles.random_instance(rng, m, length, with_gold=True)
+            for length in (3, 5, 1, 3, 6, 1, 5, 2, 3)
+        ]
+        nll, grad = crf.nll_and_gradient(insts, m, l2=0.5)
+        shuffled = [insts[i] for i in rng.permutation(len(insts))]
+        for order in (insts[::-1], shuffled):
+            nll_o, grad_o = crf.nll_and_gradient(order, m, l2=0.5)
+            assert nll_o == pytest.approx(nll, rel=1e-12)
+            for part in ("emission", "transition", "begin", "end"):
+                np.testing.assert_allclose(getattr(grad_o, part), getattr(grad, part))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -276,6 +295,36 @@ class TestNumericalRobustness:
         tags = crf.viterbi(inst, m)
         assert len(tags) == length
 
+    def test_large_weights_match_enumeration(self):
+        # far beyond trained weight sizes; all of 100 random models at
+        # +-200 were exact, while at +-400 some already were not
+        rng = np.random.default_rng(10)
+        h = 1e-5
+        for _ in range(20):
+            m = oracles.random_model(rng, n_fields=int(rng.integers(1, 3)), scale=200.0)
+            insts = [
+                oracles.random_instance(rng, m, int(rng.integers(1, 5)), with_gold=True)
+                for _ in range(3)
+            ]
+            for inst in insts:
+                logz_e, _, marg_e = oracles.enumerate_all(inst, m)
+                assert abs(crf.log_partition(inst, m) - logz_e) <= 1e-8 * max(1.0, abs(logz_e))
+                np.testing.assert_allclose(crf.marginals(inst, m), marg_e, atol=1e-8)
+            tmask, bmask = crf._structure_masks(m.tags)
+            _, grad = crf.nll_and_gradient(insts, m, 0.0)
+            gvec = crf._grad_vector(grad, tmask, bmask)
+            x0 = crf._pack(m, tmask, bmask)
+            for i in range(len(x0)):
+                xp = x0.copy()
+                xp[i] += h
+                xm = x0.copy()
+                xm[i] -= h
+                fd = (
+                    oracles.nll(insts, crf._unpack(xp, m, tmask, bmask))
+                    - oracles.nll(insts, crf._unpack(xm, m, tmask, bmask))
+                ) / (2 * h)
+                assert abs(fd - gvec[i]) <= 1e-4 * max(1.0, abs(fd), abs(gvec[i]))
+
 
 class TestTraining:
     def test_memorizes_single_instance(self):
@@ -327,6 +376,17 @@ class TestTraining:
         assert all(b <= a for a, b in zip(nlls, nlls[1:]))
         assert log1 == log2
         np.testing.assert_array_equal(m1.emission, m2.emission)
+
+    def test_warns_when_max_epochs_runs_out(self, caplog):
+        corpus = rp.generate_corpus(
+            rp.random_records(5, seed=2), rp.style_family("A")[:2], n=8, seed=2
+        )
+        with caplog.at_level(logging.WARNING, logger="refparse.crf"):
+            crf.train(corpus, FeatureConfig(), crf.TrainConfig(max_epochs=1))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "max_epochs=1" in warnings[0] and "(1 steps, " in warnings[0]
+        assert "objective evaluations" in warnings[0]
 
     def test_empty_corpus_rejected(self):
         empty = Corpus(name="e", labels=("author",), instances=())

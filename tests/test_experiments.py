@@ -52,11 +52,12 @@ def test_plan_json_round_trip(tmp_path):
 
 
 def test_unsorted_sizes_rejected(tmp_path):
-    with pytest.raises(UsageError):
-        ExperimentPlan(
-            trains={}, evals={}, sizes=(20, 10), keep_labels=(),
-            seed=0, out_dir=str(tmp_path),
-        )
+    for sizes in [(20, 10), (-30,), (0, 20)]:
+        with pytest.raises(UsageError):
+            ExperimentPlan(
+                trains={}, evals={}, sizes=sizes, keep_labels=(),
+                seed=0, out_dir=str(tmp_path),
+            )
 
 
 class TestCrossMatrix:
