@@ -10,7 +10,6 @@ timestamps, so a rerun with the same inputs is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -27,7 +26,7 @@ from .crf import CrfModel, TrainConfig, predict_tags, train
 from .errors import DataError, RefparseError, UsageError
 from .features import FeatureConfig
 from .labels import sort_fields
-from .metrics import EvalReport, evaluate, report_rows
+from .metrics import EvalReport, evaluate, write_csv, write_report_csv
 
 log = logging.getLogger(__name__)
 
@@ -141,21 +140,6 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _write_rows(path: Path, fieldnames: Sequence[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _write_cell_fields(report: EvalReport, out_dir: Path, cell: str) -> None:
-    _write_rows(
-        out_dir / f"fields_{cell}.csv",
-        ("schema", "level", "field", "precision", "recall", "f1", "support"),
-        report_rows(report),
-    )
-
-
 def _evaluate_model(
     model: CrfModel, corpus: Corpus, keep: Sequence[str] | None = None
 ) -> EvalReport:
@@ -240,9 +224,9 @@ def _run_cells(
                 continue
             result.reports[(key, eval_name)] = report
             rows.append({_ROW_KEYS[kind]: key, "eval": eval_name, **_agg_cells(report)})
-            _write_cell_fields(report, out_dir, f"{cell}__{eval_name}")
+            write_report_csv(report, out_dir / f"fields_{cell}__{eval_name}.csv")
 
-    _write_rows(out_dir / f"{kind}.csv", (_ROW_KEYS[kind], "eval", *_AGG_COLUMNS), rows)
+    write_csv(out_dir / f"{kind}.csv", (_ROW_KEYS[kind], "eval", *_AGG_COLUMNS), rows)
     _write_manifest(plan, train_config, feature_config, kind, result.failures, out_dir)
     if result.failures:
         raise RefparseError(

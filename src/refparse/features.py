@@ -10,10 +10,15 @@ simply score zero.
 from __future__ import annotations
 
 import functools
+import itertools
+from array import array
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Sized
+
+import numpy as np
+from scipy import sparse
 
 from .errors import StructuralError, UsageError
 
@@ -111,54 +116,59 @@ def _is_punct(s: str) -> bool:
     return bool(s) and all(not ch.isalnum() for ch in s)
 
 
-def extract(surfaces: Sequence[str], position: int, config: FeatureConfig) -> list[str]:
-    """Feature names for one token position."""
+def _attributes(s: str, config: FeatureConfig) -> list[tuple[str, str]]:
+    """(template, value) pairs of one token; extract names them per offset."""
+    low = s.lower()
+    attrs = [("w", f"={low}")]
+    if config.use_shape:
+        attrs.append(("shape", f"={word_shape(s)}"))
+    if s.isdigit():
+        attrs.append(("isdigit", ""))
+    if _is_punct(s):
+        attrs.append(("ispunct", ""))
+    if s[:1].isupper():
+        attrs.append(("iscap", ""))
+    for name, words in config.gazetteers.items():
+        if low in words:
+            attrs.append(("gaz", f"={name}"))
+    return attrs
+
+
+def extract(surfaces: Sequence[str], config: FeatureConfig) -> list[list[str]]:
+    """Feature names for every position of one instance. Each token's
+    attributes are computed once, then named per window offset."""
     n = len(surfaces)
-    if not 0 <= position < n:
-        raise StructuralError(f"position {position} out of range for {n} tokens")
-
-    feats: list[str] = []
-    for off in range(-config.window, config.window + 1):
-        j = position + off
-        if j < 0:
-            feats.append(f"bos[{off}]")
-            continue
-        if j >= n:
-            feats.append(f"eos[{off}]")
-            continue
-        s = surfaces[j]
-        low = s.lower()
-        feats.append(f"w[{off}]={low}")
-        if config.use_shape:
-            feats.append(f"shape[{off}]={word_shape(s)}")
-        if s.isdigit():
-            feats.append(f"isdigit[{off}]")
-        if _is_punct(s):
-            feats.append(f"ispunct[{off}]")
-        if s[:1].isupper():
-            feats.append(f"iscap[{off}]")
-        for name, words in config.gazetteers.items():
-            if low in words:
-                feats.append(f"gaz[{off}]={name}")
-
-    center = surfaces[position].lower()
-    for k in config.affix_lengths:
-        if len(center) >= k:
-            feats.append(f"pre[{k}]={center[:k]}")
-            feats.append(f"suf[{k}]={center[-k:]}")
-
-    if position == 0:
-        bucket = "first"
-    elif position == n - 1:
-        bucket = "last"
-    elif 3 * position < n:
-        bucket = "early"
-    elif 3 * position < 2 * n:
-        bucket = "mid"
-    else:
-        bucket = "late"
-    feats.append(f"posbucket={bucket}")
-    return feats
+    attrs = [_attributes(s, config) for s in surfaces]
+    offsets = [(off, f"[{off}]") for off in range(-config.window, config.window + 1)]
+    rows: list[list[str]] = []
+    for position, s in enumerate(surfaces):
+        feats: list[str] = []
+        for off, mark in offsets:
+            j = position + off
+            if j < 0:
+                feats.append("bos" + mark)
+            elif j >= n:
+                feats.append("eos" + mark)
+            else:
+                feats += [template + mark + value for template, value in attrs[j]]
+        center = s.lower()
+        for k in config.affix_lengths:
+            if len(center) >= k:
+                feats.append(f"pre[{k}]={center[:k]}")
+                feats.append(f"suf[{k}]={center[-k:]}")
+        if position == 0:
+            bucket = "first"
+        elif position == n - 1:
+            bucket = "last"
+        elif 3 * position < n:
+            bucket = "early"
+        elif 3 * position < 2 * n:
+            bucket = "mid"
+        else:
+            bucket = "late"
+        feats.append(f"posbucket={bucket}")
+        rows.append(feats)
+    return rows
 
 
 @dataclass
@@ -186,36 +196,45 @@ class FeatureIndex:
         return [i for i in out if i is not None]
 
 
+def id_matrix(id_lists: Iterable[Sequence[int]], features: Sized) -> sparse.csr_matrix:
+    """CSR matrix with one row per id list and `len(features)` columns,
+    holding 1 at each id of a row, in the row's order. `features` is
+    measured after `id_lists` is used up, so the lists may still grow it."""
+    indices = array("q")
+    indptr = array("q", [0])
+    for ids in id_lists:
+        indices.extend(ids)
+        indptr.append(len(indices))
+    cols = np.frombuffer(indices, np.int64)
+    return sparse.csr_matrix(
+        (np.ones(len(cols)), cols, np.frombuffer(indptr, np.int64)),
+        shape=(len(indptr) - 1, len(features)),
+    )
+
+
 def build_index(
     feature_lists: Iterable[Sequence[str]], min_count: int = 1
-) -> FeatureIndex:
-    """Index every feature name occurring >= min_count times.
-
-    Ids follow first-occurrence order over the input stream, so equal corpora
-    yield byte-identical indices.
-    """
+) -> tuple[FeatureIndex, sparse.csr_matrix]:
+    """Index every name occurring >= min_count times in one pass, with ids in
+    first-occurrence order (equal corpora give byte-identical indices), and
+    return it with the input's rows as one CSR matrix over it."""
     if min_count < 1:
         raise UsageError(f"min_count must be >= 1, got {min_count}")
-    counts: dict[str, int] = {}
-    seen_any = False
-    for feats in feature_lists:
-        seen_any = True
-        for name in feats:
-            counts[name] = counts.get(name, 0) + 1
-    if not seen_any:
+    ids: dict[str, int] = {}
+    x = id_matrix(
+        ([ids.setdefault(name, len(ids)) for name in feats] for feats in feature_lists), ids
+    )
+    if x.shape[0] == 0:
         raise UsageError("cannot build a feature index from an empty corpus")
-    names = tuple(n for n, c in counts.items() if c >= min_count)
-    return FeatureIndex(names=names)
+    keep = np.bincount(x.indices, minlength=len(ids)) >= min_count
+    index = FeatureIndex(names=tuple(itertools.compress(ids, keep)))
+    return index, x if keep.all() else x[:, keep]
 
 
 def corpus_features(
     instances: Iterable[Sequence[str]],
     config: FeatureConfig,
 ) -> Iterable[list[str]]:
-    """Yield the extract() output for every position of every instance.
-
-    `instances` is an iterable of surface-string sequences.
-    """
+    """Yield the names of every position of every surface-string sequence."""
     for surfaces in instances:
-        for pos in range(len(surfaces)):
-            yield extract(surfaces, pos, config)
+        yield from extract(surfaces, config)

@@ -250,11 +250,16 @@ def report_rows(report: EvalReport) -> list[dict]:
     return rows
 
 
-def write_report_csv(report: EvalReport, path) -> None:
+def write_csv(path, fieldnames: Sequence[str], rows: list[dict]) -> None:
+    """UTF-8 CSV: a header row, then one line per row, each ending in \\n."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(report_rows(report))
+        writer.writerows(rows)
+
+
+def write_report_csv(report: EvalReport, path) -> None:
+    write_csv(path, _CSV_COLUMNS, report_rows(report))
 
 
 def format_report_table(report: EvalReport, title: str = "") -> str:

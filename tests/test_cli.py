@@ -252,6 +252,15 @@ BAD_CLI_INPUTS = {
         ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--max-epochs", "0"],
         1, "max_epochs",
     ),
+    **{
+        f"train_{flag}_{value}": (
+            {"c.xml": GOOD_CORPUS},
+            ["train", "{d}/c.xml", "--model", "{d}/out.gz", f"--{flag}", value],
+            1, "finite",
+        )
+        for flag in ("l2", "tol")
+        for value in ("nan", "inf")
+    },
 }
 
 

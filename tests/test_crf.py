@@ -3,9 +3,10 @@ import logging
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy import sparse
 
 import refparse as rp
-from refparse import crf, optim
+from refparse import crf, features, optim
 from refparse.corpus import Corpus
 from refparse.errors import DataError, NumericError, StructuralError, UsageError
 from refparse.features import (
@@ -42,21 +43,44 @@ def simple_instance(feats_per_pos, gold=None, n_feats: int = 4):
 class TestVectorize:
     def test_rows_hold_extracted_ids(self):
         cfg = FeatureConfig(window=1)
-        index = build_index(corpus_features([["Proceedings", "of", "2015"]], cfg))
+        index, _ = build_index(corpus_features([["Proceedings", "of", "2015"]], cfg))
         m = crf.empty_model(["author"], index, cfg)
         surfaces = ["Proceedings", "vol", "2015", "."]
         x = crf.vectorize(surfaces, m).x
         assert x.shape == (len(surfaces), len(index))
-        for t in range(len(surfaces)):
+        for t, feats in enumerate(extract(surfaces, cfg)):
             row = x.indices[x.indptr[t] : x.indptr[t + 1]]
-            assert row.tolist() == index.lookup_many(extract(surfaces, t, cfg))
+            assert row.tolist() == index.lookup_many(feats)
         np.testing.assert_array_equal(x.data, 1.0)
+
+        # training rows (from build_index) and inference rows (from
+        # vectorize) follow one id rule, also when min_count drops names
+        corpus = [["Proceedings", "of", "2015"], ["Proc", "of", "the", "2015", "."]]
+        sizes = []
+        for min_count in (1, 2):
+            cfg = FeatureConfig(window=1, min_count=min_count)
+            index, train_x = build_index(corpus_features(corpus, cfg), min_count)
+            sizes.append(len(index))
+            m = crf.empty_model(["author"], index, cfg)
+            infer_x = sparse.vstack([crf.vectorize(s, m).x for s in corpus], format="csr")
+            assert train_x.shape == infer_x.shape
+            np.testing.assert_array_equal(train_x.indptr, infer_x.indptr)
+            np.testing.assert_array_equal(train_x.indices, infer_x.indices)
+            np.testing.assert_array_equal(train_x.data, infer_x.data)
+        assert sizes[1] < sizes[0]
 
 
 @pytest.mark.parametrize("max_epochs", [0, -1])
 def test_train_config_rejects_no_epochs(max_epochs):
     with pytest.raises(UsageError):
         crf.TrainConfig(max_epochs=max_epochs)
+
+
+@pytest.mark.parametrize("field", ["l2", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(UsageError, match="finite"):
+        crf.TrainConfig(**{field: value})
 
 
 class TestScorePath:
@@ -387,6 +411,24 @@ class TestTraining:
         assert len(warnings) == 1
         assert "max_epochs=1" in warnings[0] and "(1 steps, " in warnings[0]
         assert "objective evaluations" in warnings[0]
+
+    def test_extracts_each_instance_once(self, monkeypatch):
+        corpus = rp.generate_corpus(
+            rp.random_records(5, seed=2), rp.style_family("A")[:2], n=8, seed=2
+        )
+        calls = []
+
+        def counting_extract(surfaces, config):
+            calls.append(tuple(surfaces))
+            return extract(surfaces, config)
+
+        def no_vectorize(*args, **kwargs):
+            raise AssertionError("train must not call vectorize")
+
+        monkeypatch.setattr(features, "extract", counting_extract)
+        monkeypatch.setattr(crf, "vectorize", no_vectorize)
+        crf.train(corpus, FeatureConfig(), crf.TrainConfig(max_epochs=2))
+        assert calls == [inst.surfaces() for inst in corpus.instances]
 
     def test_empty_corpus_rejected(self):
         empty = Corpus(name="e", labels=("author",), instances=())
