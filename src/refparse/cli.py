@@ -188,17 +188,16 @@ def train(src, model_path, l2, max_epochs, tol, min_count, window,
           no_gazetteers, gazetteer_dir):
     """Train a CRF model on a labeled corpus."""
     gazetteers = None
-    if gazetteer_dir:
+    if no_gazetteers:
+        gazetteers = {}
+    elif gazetteer_dir:
         gazetteers = {
             p.stem: load_gazetteer_file(p)
             for p in sorted(Path(gazetteer_dir).glob("*.txt"))
         }
-    feature_config = FeatureConfig(
-        window=window,
-        use_gazetteers=not no_gazetteers,
-        gazetteers=gazetteers,
-        min_count=min_count,
-    )
+        if not gazetteers:
+            raise UsageError(f"no .txt word lists in {gazetteer_dir}")
+    feature_config = FeatureConfig(window=window, gazetteers=gazetteers, min_count=min_count)
     train_config = TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol)
     model = crf_train(read_corpus(src), feature_config, train_config)
     save_model(model, model_path)

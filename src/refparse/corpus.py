@@ -29,11 +29,10 @@ from .labels import (
     LabeledReference,
     Token,
     is_field_label,
-    make_tag,
     sort_fields,
     tag_field,
 )
-from .tokenizer import DEFAULT_TOKENIZER, TokenizerConfig, tags_from_spans, tokenize
+from .tokenizer import tags_from_spans, tokenize
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,7 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _parse_inline_line(
-    line: str, lineno: int, tokenizer: TokenizerConfig
-) -> LabeledReference:
+def _parse_inline_line(line: str, lineno: int) -> LabeledReference:
     raw_parts: list[str] = []
     spans: list[tuple[str, int, int]] = []
     pos = 0
@@ -121,7 +118,7 @@ def _parse_inline_line(
     tail = _unescape(line[pos:])
     raw_parts.append(tail)
     raw = "".join(raw_parts).rstrip()
-    tokens = tokenize(raw, tokenizer)
+    tokens = tokenize(raw)
     tags = tags_from_spans(tokens, [s for s in spans if s[2] > s[1]])
     return LabeledReference(raw=raw, tokens=tokens, tags=tags)
 
@@ -134,9 +131,7 @@ def _parse_labels_header(line: str, lineno: int) -> tuple[str, ...]:
     return sort_fields(names)
 
 
-def read_inline_xml(
-    path, name: str | None = None, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
-) -> Corpus:
+def read_inline_xml(path, name: str | None = None) -> Corpus:
     """Read an inline-XML corpus; one reference per line or per <ref> block."""
     declared: tuple[str, ...] | None = None
     instances: list[LabeledReference] = []
@@ -155,17 +150,14 @@ def read_inline_xml(
             if pending:
                 pending.append(line)
                 if "</ref>" in line:
-                    joined = " ".join(pending)
-                    instances.append(
-                        _parse_inline_line(joined, pending_line, tokenizer)
-                    )
+                    instances.append(_parse_inline_line(" ".join(pending), pending_line))
                     pending = []
                 continue
             if "<ref>" in line and "</ref>" not in line:
                 pending = [line]
                 pending_line = lineno
                 continue
-            instances.append(_parse_inline_line(line, lineno, tokenizer))
+            instances.append(_parse_inline_line(line, lineno))
     if pending:
         raise DataError("unterminated <ref> block", pending_line)
     labels = declared if declared is not None else observed_labels(instances)

@@ -39,7 +39,7 @@ from .labels import (
     tag_field,
     tag_kind,
 )
-from .tokenizer import DEFAULT_TOKENIZER, TokenizerConfig, tokenize
+from .tokenizer import tokenize
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -47,6 +47,9 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "refparse-model-v1"
+
+# how model files record the tokenizer that `tokenize` implements
+_TOKENIZER_CONFIG = {"split_digit_letter": True, "split_punctuation": True}
 
 NEG_INF = float("-inf")
 
@@ -113,7 +116,6 @@ class CrfModel:
     end: np.ndarray  # (L,)
     feature_index: FeatureIndex
     feature_config: FeatureConfig
-    tokenizer_config: TokenizerConfig = DEFAULT_TOKENIZER
 
     def __post_init__(self) -> None:
         n = len(self.tags)
@@ -144,7 +146,6 @@ def empty_model(
     labels: Sequence[str],
     feature_index: FeatureIndex,
     feature_config: FeatureConfig,
-    tokenizer_config: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> CrfModel:
     """All-zero weights over the given label subset (structure applied)."""
     tags = tags_for_labels(labels)
@@ -161,7 +162,6 @@ def empty_model(
         end=np.zeros(n),
         feature_index=feature_index,
         feature_config=feature_config,
-        tokenizer_config=tokenizer_config,
     )
 
 
@@ -320,8 +320,8 @@ def predict_tags(model: CrfModel, surfaces: Sequence[str]) -> tuple[str, ...]:
 
 
 def decode(model: CrfModel, raw: str) -> LabeledReference:
-    """Tokenize raw text with the model's tokenizer config and decode."""
-    tokens = tokenize(raw, model.tokenizer_config)
+    """Tokenize raw text and decode it."""
+    tokens = tokenize(raw)
     tags = predict_tags(model, tuple(t.surface for t in tokens))
     return LabeledReference(raw=raw, tokens=tokens, tags=tags)
 
@@ -339,20 +339,14 @@ class CrfGradient:
 
 
 class _Batch:
-    """Vectorized gold instances packed for `_forward_backward`: sorted
-    longest first (stable), then laid out time-major, so that every
-    per-position array of the batch shares one (P, L) row order."""
+    """Gold instances packed for `_forward_backward`, from their rows `x` and
+    gold tag ids stacked one instance after another and their `lengths` (all
+    >= 1): sorted longest first (stable), then laid out time-major, so that
+    every per-position array of the batch shares one (P, L) row order."""
 
-    def __init__(self, instances: Sequence[VectorizedInstance], model: CrfModel):
-        if not instances:
-            raise UsageError("batch must be non-empty")
-        for inst in instances:
-            if inst.gold is None:
-                raise UsageError("batch instances need gold tags")
-            if len(inst) == 0:
-                raise StructuralError("zero-length instance in batch")
-        n_tags = len(model.tags)
-        lengths = np.array([len(i) for i in instances], dtype=np.int64)
+    def __init__(
+        self, x: sparse.csr_matrix, gold: np.ndarray, lengths: np.ndarray, n_tags: int
+    ):
         order = np.argsort(-lengths, kind="stable")
         self.widths = _count_above(lengths)
         starts = np.cumsum(self.widths) - self.widths
@@ -362,8 +356,8 @@ class _Batch:
         self.slot = np.arange(len(step)) - starts[step]
         first = np.cumsum(lengths) - lengths
         source = first[order[self.slot]] + step
-        self.x = sparse.vstack([inst.x for inst in instances], format="csr")[source]
-        self.gold = np.concatenate([inst.gold for inst in instances])[source]
+        self.x = x[source]
+        self.gold = gold[source]
         # the row of step t-1 continued by each row of steps 1, 2, ...
         w0 = self.widths[0]
         self.prev = np.arange(w0, len(step)) - np.repeat(self.widths[:-1], self.widths[1:])
@@ -431,7 +425,20 @@ def nll_and_gradient(
     instances: Sequence[VectorizedInstance], model: CrfModel, l2: float = 0.0
 ) -> tuple[float, CrfGradient]:
     """Regularized negative log-likelihood of the batch and its gradient."""
-    return _batch_nll_grad(_Batch(instances, model), model, l2)
+    if not instances:
+        raise UsageError("batch must be non-empty")
+    for inst in instances:
+        if inst.gold is None:
+            raise UsageError("batch instances need gold tags")
+        if len(inst) == 0:
+            raise StructuralError("zero-length instance in batch")
+    batch = _Batch(
+        sparse.vstack([inst.x for inst in instances], format="csr"),
+        np.concatenate([inst.gold for inst in instances]),
+        np.array([len(inst) for inst in instances], dtype=np.int64),
+        len(model.tags),
+    )
+    return _batch_nll_grad(batch, model, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +482,6 @@ def train(
     corpus: "Corpus",
     feature_config: FeatureConfig | None = None,
     train_config: TrainConfig | None = None,
-    tokenizer_config: TokenizerConfig = DEFAULT_TOKENIZER,
     training_log: list[tuple[int, float]] | None = None,
 ) -> CrfModel:
     """Fit a model on a labeled corpus over its declared label subset.
@@ -494,16 +500,16 @@ def train(
         corpus_features((inst.surfaces() for inst in usable), feature_config),
         feature_config.min_count,
     )
-    model = empty_model(corpus.labels, index, feature_config, tokenizer_config)
+    model = empty_model(corpus.labels, index, feature_config)
     # a Corpus holds only tags of its declared labels, so every tag has an id
     ids = model.tag_ids
-    starts = np.cumsum([0] + [len(inst.tokens) for inst in usable])
-    vec = [
-        VectorizedInstance(x[a:b], np.array([ids[t] for t in inst.tags], np.int64))
-        for a, b, inst in zip(starts, starts[1:], usable)
-    ]
-    del x  # the batch is built from the per-instance slices alone
-    batch = _Batch(vec, model)
+    batch = _Batch(
+        x,
+        np.array([ids[t] for inst in usable for t in inst.tags], dtype=np.int64),
+        np.array([len(inst.tokens) for inst in usable], dtype=np.int64),
+        len(model.tags),
+    )
+    del x  # the batch holds its own packed copy of the rows
     tmask, bmask = _structure_masks(model.tags)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -559,7 +565,7 @@ def save_model(model: CrfModel, path) -> None:
         "format": MODEL_FORMAT,
         "labels": list(model.labels),
         "tags": list(model.tags),
-        "tokenizer_config": model.tokenizer_config.to_dict(),
+        "tokenizer_config": _TOKENIZER_CONFIG,
         "feature_config": model.feature_config.to_dict(),
         "feature_names": list(model.feature_index.names),
         "emission": _encode_array(model.emission),
@@ -589,14 +595,21 @@ def load_model(path) -> CrfModel:
     if fmt != MODEL_FORMAT:
         raise DataError(f"unsupported model format {fmt!r}, expected {MODEL_FORMAT}")
     try:
-        tags = tuple(payload["tags"])
+        labels, tags = tuple(payload["labels"]), tuple(payload["tags"])
+        if tags != tags_for_labels(labels):
+            raise DataError(f"tags {list(tags)} are not the tag set of {list(labels)}")
+        if payload["tokenizer_config"] != _TOKENIZER_CONFIG:
+            raise DataError(
+                f"tokenizer_config records {payload['tokenizer_config']!r}, "
+                f"but this version implements only {_TOKENIZER_CONFIG!r}"
+            )
         tmask, bmask = _structure_masks(tags)
         transition = _decode_array(payload["transition"])
         transition[~tmask] = NEG_INF
         begin = _decode_array(payload["begin"])
         begin[~bmask] = NEG_INF
         return CrfModel(
-            labels=tuple(payload["labels"]),
+            labels=labels,
             tags=tags,
             emission=_decode_array(payload["emission"]),
             transition=transition,
@@ -604,7 +617,6 @@ def load_model(path) -> CrfModel:
             end=_decode_array(payload["end"]),
             feature_index=FeatureIndex(names=tuple(payload["feature_names"])),
             feature_config=FeatureConfig.from_dict(payload["feature_config"]),
-            tokenizer_config=TokenizerConfig.from_dict(payload["tokenizer_config"]),
         )
     except (
         AttributeError, LookupError, TypeError, ValueError, StructuralError, UsageError

@@ -154,28 +154,23 @@ def _evaluate_model(
     return evaluate(corpus, pred)
 
 
-_AGG_COLUMNS = (
-    "token_micro_p",
-    "token_micro_r",
-    "token_micro_f1",
-    "token_macro_f1",
-    "field_micro_p",
-    "field_micro_r",
-    "field_micro_f1",
-    "field_macro_f1",
+# (column suffix, LevelReport attribute) of each aggregate cell, written
+# for the token level, then the field level
+_AGG_METRICS = (
+    ("micro_p", "micro_precision"),
+    ("micro_r", "micro_recall"),
+    ("micro_f1", "micro_f1"),
+    ("macro_f1", "macro_f1"),
 )
+_AGG_LEVELS = ("token", "field")
+_AGG_COLUMNS = tuple(f"{lv}_{suffix}" for lv in _AGG_LEVELS for suffix, _ in _AGG_METRICS)
 
 
 def _agg_cells(report: EvalReport) -> dict:
     return {
-        "token_micro_p": f"{report.token.micro_precision:.6f}",
-        "token_micro_r": f"{report.token.micro_recall:.6f}",
-        "token_micro_f1": f"{report.token.micro_f1:.6f}",
-        "token_macro_f1": f"{report.token.macro_f1:.6f}",
-        "field_micro_p": f"{report.field.micro_precision:.6f}",
-        "field_micro_r": f"{report.field.micro_recall:.6f}",
-        "field_micro_f1": f"{report.field.micro_f1:.6f}",
-        "field_macro_f1": f"{report.field.macro_f1:.6f}",
+        f"{lv}_{suffix}": f"{getattr(getattr(report, lv), attr):.6f}"
+        for lv in _AGG_LEVELS
+        for suffix, attr in _AGG_METRICS
     }
 
 

@@ -20,9 +20,15 @@ from typing import Iterable, Mapping, Sequence, Sized
 import numpy as np
 from scipy import sparse
 
-from .errors import StructuralError, UsageError
+from .errors import DataError, StructuralError, UsageError
 
 _GAZETTEER_FILES = ("months", "ordinals", "containers")
+
+# prefix and suffix lengths of the center token's affix features
+AFFIX_LENGTHS = (1, 2, 3, 4)
+
+# model-file keys of templates that are fixed, with the values implemented
+_FIXED_TEMPLATES = {"affix_lengths": list(AFFIX_LENGTHS), "use_shape": True}
 
 
 def load_gazetteer_file(path) -> frozenset[str]:
@@ -49,50 +55,49 @@ def builtin_gazetteers() -> Mapping[str, frozenset[str]]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Feature templates of a model.
+    """The settable feature templates of a model.
 
     `gazetteers` is resolved at construction into a read-only mapping sorted
-    by list name: empty without `use_gazetteers`, else the given lists or,
-    when None, the builtin ones.
+    by list name: the given lists or, when None, the builtin ones; `{}`
+    turns gazetteer features off.
     """
 
     window: int = 2
-    affix_lengths: tuple[int, ...] = (1, 2, 3, 4)
-    use_shape: bool = True
-    use_gazetteers: bool = True
     gazetteers: Mapping[str, frozenset[str]] | None = None
     min_count: int = 1
 
     def __post_init__(self) -> None:
         if self.window < 0:
             raise UsageError(f"window must be >= 0, got {self.window}")
-        if not self.affix_lengths or min(self.affix_lengths) < 1:
-            raise UsageError(f"need positive affix lengths, got {self.affix_lengths}")
         if self.min_count < 1:
             raise UsageError(f"min_count must be >= 1, got {self.min_count}")
         gaz = builtin_gazetteers() if self.gazetteers is None else self.gazetteers
-        items = sorted(gaz.items()) if self.use_gazetteers else []
-        gaz = MappingProxyType({k: frozenset(v) for k, v in items})
+        gaz = MappingProxyType({k: frozenset(v) for k, v in sorted(gaz.items())})
         object.__setattr__(self, "gazetteers", gaz)
 
     def to_dict(self) -> dict:
+        """The model-file form, which also records the fixed templates."""
         return {
             "window": self.window,
-            "affix_lengths": list(self.affix_lengths),
-            "use_shape": self.use_shape,
-            "use_gazetteers": self.use_gazetteers,
+            **_FIXED_TEMPLATES,
+            "use_gazetteers": bool(self.gazetteers),
             "gazetteers": {k: sorted(v) for k, v in self.gazetteers.items()},
             "min_count": self.min_count,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureConfig":
+        """Inverse of `to_dict`. A fixed template recorded with another value
+        raises DataError naming it; `use_gazetteers` false drops the lists."""
+        for key, value in _FIXED_TEMPLATES.items():
+            if data[key] != value:
+                raise DataError(
+                    f"feature_config records {key}={data[key]!r}, "
+                    f"but this version implements only {value!r}"
+                )
         return cls(
             window=int(data["window"]),
-            affix_lengths=tuple(data["affix_lengths"]),
-            use_shape=bool(data["use_shape"]),
-            use_gazetteers=bool(data["use_gazetteers"]),
-            gazetteers=data["gazetteers"],
+            gazetteers=data["gazetteers"] if data["use_gazetteers"] else {},
             min_count=int(data["min_count"]),
         )
 
@@ -119,9 +124,7 @@ def _is_punct(s: str) -> bool:
 def _attributes(s: str, config: FeatureConfig) -> list[tuple[str, str]]:
     """(template, value) pairs of one token; extract names them per offset."""
     low = s.lower()
-    attrs = [("w", f"={low}")]
-    if config.use_shape:
-        attrs.append(("shape", f"={word_shape(s)}"))
+    attrs = [("w", f"={low}"), ("shape", f"={word_shape(s)}")]
     if s.isdigit():
         attrs.append(("isdigit", ""))
     if _is_punct(s):
@@ -152,7 +155,7 @@ def extract(surfaces: Sequence[str], config: FeatureConfig) -> list[list[str]]:
             else:
                 feats += [template + mark + value for template, value in attrs[j]]
         center = s.lower()
-        for k in config.affix_lengths:
+        for k in AFFIX_LENGTHS:
             if len(center) >= k:
                 feats.append(f"pre[{k}]={center[:k]}")
                 feats.append(f"suf[{k}]={center[-k:]}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -31,7 +31,7 @@ import numpy as np
 from .corpus import Corpus, observed_labels
 from .errors import DataError, TemplateError, UsageError
 from .labels import LabeledReference
-from .tokenizer import DEFAULT_TOKENIZER, TokenizerConfig, tags_from_spans, tokenize
+from .tokenizer import tags_from_spans, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +73,7 @@ class BibRecord:
 
 
 def record_to_dict(record: BibRecord) -> dict:
-    out: dict = {
-        "authors": [[g, f] for g, f in record.authors],
-        "title": record.title,
-        "year": record.year,
-        "container": record.container,
-        "container_kind": record.container_kind,
-    }
-    for key in ("volume", "issue", "publisher", "editors", "location",
-                "institution", "note", "url"):
-        value = getattr(record, key)
-        if value is not None:
-            out[key] = value
-    if record.pages is not None:
-        out["pages"] = list(record.pages)
-    return out
+    return {k: v for k, v in asdict(record).items() if v is not None}
 
 
 def record_from_dict(data: dict) -> BibRecord:
@@ -490,7 +476,6 @@ def generate_corpus(
     seed: int,
     per_author: bool = False,
     name: str = "synthetic",
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> Corpus:
     """Sample n distinct (record, template) pairs, render, and label.
 
@@ -514,7 +499,7 @@ def generate_corpus(
         record = records[int(pair) // len(templates)]
         template = templates[int(pair) % len(templates)]
         rendered = render(record, template, per_author=per_author)
-        tokens = tokenize(rendered.text, tokenizer)
+        tokens = tokenize(rendered.text)
         tags = tags_from_spans(tokens, rendered.spans)
         instances.append(LabeledReference(raw=rendered.text, tokens=tokens, tags=tags))
     return Corpus(

@@ -8,60 +8,30 @@ string (whitespace included via the gaps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import StructuralError
 from .labels import OUT, Token, make_tag
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Serialized into trained models so inference tokenizes like training."""
-
-    split_punctuation: bool = True
-    split_digit_letter: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "split_punctuation": self.split_punctuation,
-            "split_digit_letter": self.split_digit_letter,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TokenizerConfig":
-        return cls(
-            split_punctuation=bool(data["split_punctuation"]),
-            split_digit_letter=bool(data["split_digit_letter"]),
-        )
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def _char_class(ch: str, config: TokenizerConfig) -> str:
+def _char_class(ch: str) -> str:
     if ch.isspace():
         return "space"
     if ch.isalpha():
-        return "alnum" if not config.split_digit_letter else "alpha"
+        return "alpha"
     if ch.isdigit():
-        return "alnum" if not config.split_digit_letter else "digit"
+        return "digit"
     return "punct"
 
 
-def tokenize(raw: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> tuple[Token, ...]:
+def tokenize(raw: str) -> tuple[Token, ...]:
     """Split raw text into offset-carrying tokens. Empty input -> ()."""
     tokens: list[Token] = []
     start = -1
     cls = "space"
     for i, ch in enumerate(raw):
-        c = _char_class(ch, config)
-        breaks = (
-            c != cls
-            or c == "punct"
-            and config.split_punctuation
-        )
-        if start >= 0 and breaks:
+        c = _char_class(ch)
+        if start >= 0 and (c != cls or c == "punct"):
             tokens.append(Token(raw[start:i], start, i))
             start = -1
         if c != "space" and start < 0:

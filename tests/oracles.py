@@ -25,7 +25,7 @@ def random_model(
     """A model with weights uniform in [-scale, scale] on all free parameters."""
     index = FeatureIndex(names=tuple(f"f{i}" for i in range(n_feats)))
     model = crf.empty_model(
-        FIELDS[:n_fields], index, FeatureConfig(use_gazetteers=False)
+        FIELDS[:n_fields], index, FeatureConfig(gazetteers={})
     )
     tmask, bmask = crf._structure_masks(model.tags)
     return replace(

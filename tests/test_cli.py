@@ -10,7 +10,7 @@ from refparse.cli import run
 from refparse.crf import empty_model, save_model
 from refparse.features import FeatureConfig, FeatureIndex
 
-from conftest import FIGURE1_TEXT
+from conftest import DATA_DIR, FIGURE1_TEXT
 
 
 def test_version_exits_zero(capsys):
@@ -139,21 +139,41 @@ def _zeros(*shape: int) -> dict:
     return {"shape": list(shape), "data": data}
 
 
+def _feature_config(p: dict, **changes) -> bytes:
+    return _gz({**p, "feature_config": {**p["feature_config"], **changes}})
+
+
+# id -> (payload of a good model file -> bad file, text the diagnostic must contain)
 MALFORMED_MODELS = {
-    "gzip_json_without_tags": lambda p: _gz({k: v for k, v in p.items() if k != "tags"}),
-    "gzip_magic_then_garbage": lambda p: b"\x1f\x8b" + b"garbage" * 8,
-    "end_shape_vs_tag_count": lambda p: _gz({**p, "end": _zeros(len(p["tags"]) + 1)}),
-    "emission_shape_vs_feature_count": lambda p: _gz(
-        {**p, "emission": _zeros(len(p["feature_names"]) + 1, len(p["tags"]))}
+    "gzip_json_without_tags": (
+        lambda p: _gz({k: v for k, v in p.items() if k != "tags"}), "tags"
     ),
-    "negative_window": lambda p: _gz(
-        {**p, "feature_config": {**p["feature_config"], "window": -1}}
+    "gzip_magic_then_garbage": (lambda p: b"\x1f\x8b" + b"garbage" * 8, "not a model"),
+    "end_shape_vs_tag_count": (
+        lambda p: _gz({**p, "end": _zeros(len(p["tags"]) + 1)}), "shape"
+    ),
+    "emission_shape_vs_feature_count": (
+        lambda p: _gz({**p, "emission": _zeros(len(p["feature_names"]) + 1, len(p["tags"]))}),
+        "shape",
+    ),
+    "negative_window": (lambda p: _feature_config(p, window=-1), "window"),
+    "tokenizer_keeps_punctuation_runs": (
+        lambda p: _gz(
+            {**p, "tokenizer_config": {**p["tokenizer_config"], "split_punctuation": False}}
+        ),
+        "tokenizer_config",
+    ),
+    "no_shape_features": (lambda p: _feature_config(p, use_shape=False), "use_shape"),
+    "two_affix_lengths": (lambda p: _feature_config(p, affix_lengths=[1, 2]), "affix_lengths"),
+    "tags_disagree_with_labels": (
+        lambda p: _gz({**p, "tags": ["B-foo", *p["tags"][1:]]}), "tag set"
     ),
 }
 
 
-@pytest.mark.parametrize("corrupt", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
-def test_malformed_model_is_data_error(corrupt, tmp_path, capsys):
+@pytest.mark.parametrize("case", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_model_is_data_error(case, tmp_path, capsys):
+    corrupt, message = case
     good = tmp_path / "good.gz"
     save_model(
         empty_model(["author"], FeatureIndex(names=("f0", "f1")), FeatureConfig()), good
@@ -164,7 +184,8 @@ def test_malformed_model_is_data_error(corrupt, tmp_path, capsys):
     refs.write_text("A. Author, A title, 2015.\n", encoding="utf-8")
     assert run(["parse", "--model", str(good), "--in", str(refs)]) == 0
     assert run(["parse", "--model", str(bad), "--in", str(refs)]) == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
 
 
 def test_bad_ratio_is_usage_error(tmp_path, capsys):
@@ -247,6 +268,11 @@ BAD_CLI_INPUTS = {
         {"c.xml": GOOD_CORPUS},
         ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--window", "-1"], 1, "window",
     ),
+    "train_gazetteer_dir_without_lists": (
+        {"c.xml": GOOD_CORPUS},
+        ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--gazetteer-dir", "{d}"],
+        1, ".txt",
+    ),
     "train_zero_max_epochs": (
         {"c.xml": GOOD_CORPUS},
         ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--max-epochs", "0"],
@@ -277,6 +303,21 @@ def test_bad_input_exits_with_documented_code(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out.gz").exists()
+
+
+def test_v1_model_file_still_loads(tmp_path):
+    """v1_model.gz is a refparse-model-v1 file written by an earlier refparse,
+    whose tokenizer and affix/shape templates were still options:
+    `generate --records records_100.jsonl --styles builtin --n 12 --seed 1`,
+    `filter --keep author,title,date,pages`, then `train` with default flags.
+    v1_parse.xml is that refparse's `parse` output on v1_refs.txt."""
+    model_path = DATA_DIR / "v1_model.gz"
+    out = tmp_path / "parsed.xml"
+    refs = DATA_DIR / "v1_refs.txt"
+    assert run(["parse", "--model", str(model_path), "--in", str(refs), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "v1_parse.xml").read_bytes()
+    save_model(rp.load_model(model_path), tmp_path / "again.gz")
+    assert (tmp_path / "again.gz").read_bytes() == model_path.read_bytes()
 
 
 def test_parse_figure_string_end_to_end(tmp_path, small_model_and_eval, capsys):

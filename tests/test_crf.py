@@ -32,7 +32,7 @@ def unconstrained_model(n_tags: int, n_feats: int = 4) -> crf.CrfModel:
         begin=np.zeros(n_tags),
         end=np.zeros(n_tags),
         feature_index=index,
-        feature_config=FeatureConfig(use_gazetteers=False),
+        feature_config=FeatureConfig(gazetteers={}),
     )
 
 
@@ -130,7 +130,7 @@ class TestLogPartition:
         m = crf.empty_model(
             ["author"],
             FeatureIndex(names=("f0",)),
-            FeatureConfig(use_gazetteers=False),
+            FeatureConfig(gazetteers={}),
         )
         inst = simple_instance([[0]], n_feats=1)
         # I-author cannot start, so 2 valid start tags
@@ -161,7 +161,7 @@ class TestViterbi:
         m = crf.empty_model(
             ["author", "date"],
             FeatureIndex(names=("f0",)),
-            FeatureConfig(use_gazetteers=False),
+            FeatureConfig(gazetteers={}),
         )
         inst = simple_instance([[0], [0], [0]], n_feats=1)
         assert crf.viterbi(inst, m) == ("O", "O", "O")

@@ -20,7 +20,7 @@ def test_word_shape_collapses_runs():
 
 
 def test_single_digit_token_features():
-    (feats,) = extract(["2015"], FeatureConfig(use_gazetteers=False))
+    (feats,) = extract(["2015"], FeatureConfig(gazetteers={}))
     assert "shape[0]=d" in feats
     assert "isdigit[0]" in feats
     assert "posbucket=first" in feats
@@ -28,7 +28,7 @@ def test_single_digit_token_features():
 
 
 def test_boundary_sentinels_replace_neighbors():
-    feats, feats_last = extract(["a", "b"], FeatureConfig(use_gazetteers=False))
+    feats, feats_last = extract(["a", "b"], FeatureConfig(gazetteers={}))
     assert "bos[-2]" in feats and "bos[-1]" in feats
     assert not any(f.startswith("w[-1]") for f in feats)
     assert "eos[1]" in feats_last and "eos[2]" in feats_last
@@ -42,13 +42,13 @@ def test_gazetteer_hit():
 
 
 def test_affixes_only_up_to_token_length():
-    (feats,) = extract(["ab"], FeatureConfig(use_gazetteers=False))
+    (feats,) = extract(["ab"], FeatureConfig(gazetteers={}))
     assert "pre[1]=a" in feats and "suf[2]=ab" in feats
     assert not any(f.startswith("pre[3]") for f in feats)
 
 
 def test_position_buckets():
-    cfg = FeatureConfig(use_gazetteers=False)
+    cfg = FeatureConfig(gazetteers={})
     n = 10
     toks = [f"t{i}" for i in range(n)]
     buckets = [
@@ -61,7 +61,7 @@ def test_position_buckets():
 
 
 def test_index_respects_min_count():
-    cfg = FeatureConfig(use_gazetteers=False, window=0)
+    cfg = FeatureConfig(gazetteers={}, window=0)
     lists = list(corpus_features([["a", "a"], ["a"]], cfg))
     idx1, _ = build_index(lists, min_count=1)
     idx2, _ = build_index(lists, min_count=2)
@@ -98,7 +98,7 @@ def test_config_round_trips_through_dict():
 
 
 def test_gazetteers_resolved_at_construction():
-    off = FeatureConfig(use_gazetteers=False, gazetteers={"months": {"may"}})
+    off = FeatureConfig.from_dict(FeatureConfig(gazetteers={}).to_dict())
     assert dict(off.gazetteers) == {}
     cfg = FeatureConfig(gazetteers={"zeta": ["b", "a"], "alpha": {"c"}})
     assert list(cfg.gazetteers) == ["alpha", "zeta"]
@@ -109,8 +109,8 @@ def test_gazetteers_resolved_at_construction():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"window": -1}, {"affix_lengths": ()}, {"affix_lengths": (0, 2)}, {"min_count": 0}],
-    ids=["negative_window", "no_affixes", "zero_affix", "zero_min_count"],
+    [{"window": -1}, {"min_count": 0}],
+    ids=["negative_window", "zero_min_count"],
 )
 def test_config_rejects_bad_numbers(kwargs):
     with pytest.raises(UsageError):

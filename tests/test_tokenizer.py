@@ -4,11 +4,11 @@ from hypothesis import strategies as st
 
 from refparse.errors import StructuralError
 from refparse.labels import Token, check_iob2
-from refparse.tokenizer import TokenizerConfig, tags_from_spans, tokenize
+from refparse.tokenizer import tags_from_spans, tokenize
 
 
-def surfaces(text, config=TokenizerConfig()):
-    return [t.surface for t in tokenize(text, config)]
+def surfaces(text):
+    return [t.surface for t in tokenize(text)]
 
 
 def test_reference_fragments():
@@ -19,16 +19,10 @@ def test_reference_fragments():
 
 def test_digit_letter_boundary():
     assert surfaces("COVID19") == ["COVID", "19"]
-    assert surfaces("COVID19", TokenizerConfig(split_digit_letter=False)) == ["COVID19"]
 
 
 def test_punctuation_splitting():
     assert surfaces("117--130") == ["117", "-", "-", "130"]
-    assert surfaces("117--130", TokenizerConfig(split_punctuation=False)) == [
-        "117",
-        "--",
-        "130",
-    ]
 
 
 def test_unicode_kept_verbatim():
