@@ -26,7 +26,7 @@ from .corpus import (
 from .crf import (
     MODEL_FORMAT,
     TrainConfig,
-    decode,
+    decode_many,
     load_model,
     save_model,
     train as crf_train,
@@ -54,6 +54,9 @@ from .synthgen import (
 from .tokenizer import tokenize
 
 VERSION_TEXT = f"refparse {__version__} (model format {MODEL_FORMAT})"
+
+# lines `parse` decodes as one batch; keeps the batch's arrays to tens of MB
+_PARSE_CHUNK = 1024
 
 
 def _print_version(ctx, param, value):
@@ -188,6 +191,8 @@ def train(src, model_path, l2, max_epochs, tol, min_count, window,
           no_gazetteers, gazetteer_dir):
     """Train a CRF model on a labeled corpus."""
     gazetteers = None
+    if no_gazetteers and gazetteer_dir:
+        raise UsageError("--no-gazetteers and --gazetteer-dir contradict each other")
     if no_gazetteers:
         gazetteers = {}
     elif gazetteer_dir:
@@ -214,18 +219,16 @@ def train(src, model_path, l2, max_epochs, tol, min_count, window,
 def parse(model_path, in_path, out_path, out_format):
     """Label raw reference strings with a trained model."""
     model = load_model(model_path)
+    lines = [line for line in map(str.strip, _read_text(in_path).splitlines()) if line]
     out_lines: list[str] = []
-    for line in _read_text(in_path).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        inst = decode(model, line)
-        if out_format == "inline":
-            out_lines.append(format_inline_xml(inst))
-        else:
-            for token, tag in zip(inst.tokens, inst.tags):
-                out_lines.append(f"{token.surface}\t{tag}")
-            out_lines.append("")
+    for start in range(0, len(lines), _PARSE_CHUNK):
+        for inst in decode_many(model, lines[start : start + _PARSE_CHUNK]):
+            if out_format == "inline":
+                out_lines.append(format_inline_xml(inst))
+            else:
+                for token, tag in zip(inst.tokens, inst.tags):
+                    out_lines.append(f"{token.surface}\t{tag}")
+                out_lines.append("")
     text = "\n".join(out_lines) + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")

@@ -15,8 +15,10 @@ test_large_weights_match_enumeration) and wrong on 7 of 100 in +-400.
 from __future__ import annotations
 
 import base64
+import functools
 import gzip
 import io
+import itertools
 import json
 import logging
 import zlib
@@ -29,7 +31,7 @@ from scipy import sparse
 from . import optim
 from .errors import DataError, NumericError, StructuralError, UsageError
 from .features import (
-    FeatureConfig, FeatureIndex, build_index, corpus_features, extract, id_matrix
+    FeatureConfig, FeatureIds, FeatureIndex, build_index, corpus_features, id_matrix
 )
 from .labels import (
     OUT,
@@ -141,6 +143,11 @@ class CrfModel:
     def tag_ids(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tags)}
 
+    @functools.cached_property
+    def feature_ids(self) -> FeatureIds:
+        """The model's feature rows, with their per-surface id cache."""
+        return FeatureIds(self.feature_index, self.feature_config)
+
 
 def empty_model(
     labels: Sequence[str],
@@ -190,8 +197,7 @@ def vectorize(
     """Map one token sequence (and optionally its gold tags) onto the model's
     feature and tag ids. Unknown features are dropped; unknown gold tags are
     a data error naming the instance."""
-    index = model.feature_index
-    x = id_matrix(map(index.lookup_many, extract(surfaces, model.feature_config)), index)
+    x = id_matrix(model.feature_ids.rows(surfaces), model.feature_index)
     gold = None
     if gold_tags is not None:
         if len(gold_tags) != len(surfaces):
@@ -237,6 +243,29 @@ def _last_rows(widths: np.ndarray) -> np.ndarray:
     """Packed row of each instance's last position, longest instance first."""
     starts = np.cumsum(widths) - widths
     return starts[_count_above(widths) - 1] + np.arange(widths[0])
+
+
+class _Packing:
+    """Instances of the given `lengths` (all >= 1) packed for the recursions:
+    sorted longest first (stable), then laid out time-major, so that every
+    per-position array of the batch shares one (P, L) row order. `source`
+    maps each packed row to its row in the instances stacked one after
+    another, and `slot` to its instance's place in the sorted order."""
+
+    def __init__(self, lengths: np.ndarray):
+        order = np.argsort(-lengths, kind="stable")
+        self.widths = _count_above(lengths)
+        starts = np.cumsum(self.widths) - self.widths
+
+        # packed row -> (step, slot in sorted order) -> instance-major row
+        step = np.repeat(np.arange(len(self.widths)), self.widths)
+        self.slot = np.arange(len(step)) - starts[step]
+        first = np.cumsum(lengths) - lengths
+        self.source = first[order[self.slot]] + step
+        # the row of step t-1 continued by each row of steps 1, 2, ...
+        w0 = self.widths[0]
+        self.prev = np.arange(w0, len(step)) - np.repeat(self.widths[:-1], self.widths[1:])
+        self.last = _last_rows(self.widths)
 
 
 def _forward_backward(
@@ -293,23 +322,47 @@ def marginals(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
     return np.exp(alphas + betas - logz[0])
 
 
+def _viterbi(e: np.ndarray, widths: np.ndarray, model: CrfModel) -> np.ndarray:
+    """Highest-scoring tag ids of a packed batch, laid out as in
+    `_forward_backward`; ties break toward the lowest tag id. `e` holds the
+    emission scores and is overwritten with the best path scores."""
+    n_tags = e.shape[1]
+    steps = widths.tolist()
+    starts = (np.cumsum(widths) - widths).tolist()
+    trans_to_from = model.transition.T
+    # flat indices: of each row's tag 0 in `e`, and of (row, to, from 0) in a
+    # step's scores
+    row_base = np.arange(0, e.size, n_tags)
+    to_base = np.arange(0, steps[0] * n_tags * n_tags, n_tags).reshape(steps[0], n_tags)
+    back = np.empty(e.shape, dtype=np.intp)  # flat index of the best previous (row, tag)
+    v = e
+    v[: steps[0]] += model.begin
+    for t in range(1, len(steps)):
+        w, lo, prev = steps[t], starts[t], starts[t - 1]
+        scores = v[prev : prev + w, None, :] + trans_to_from  # (row, to, from)
+        arg = scores.argmax(axis=2)  # first max -> lowest id
+        rows = v[lo : lo + w]
+        rows += scores.ravel()[arg + to_base[:w]]
+        np.add(arg, row_base[prev : prev + w, None], out=back[lo : lo + w])
+    # each instance's path ends at its last row; the rows of step t continue
+    # the paths of step t+1 back through `back`
+    last = _last_rows(widths)
+    best = np.empty(len(e), dtype=np.intp)  # flat index of each row's (row, tag)
+    best[last] = (v[last] + model.end).argmax(axis=1) + row_base[last]
+    flat_back = back.ravel()
+    for t in range(len(steps) - 2, -1, -1):
+        w, lo, nxt = steps[t + 1], starts[t], starts[t + 1]
+        best[lo : lo + w] = flat_back[best[nxt : nxt + w]]
+    return best - row_base
+
+
 def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
     """Highest-scoring tag path; ties break toward the lowest tag id."""
     if len(inst) == 0:
         raise StructuralError("viterbi of a zero-length instance")
     e = inst.x @ model.emission
-    v = model.begin + e[0]
-    backptr = np.zeros((len(e), len(model.tags)), dtype=np.int64)
-    for t in range(1, len(e)):
-        scores = v[:, None] + model.transition
-        backptr[t] = scores.argmax(axis=0)  # first max -> lowest id
-        v = scores[backptr[t], np.arange(scores.shape[1])] + e[t]
-    last = int((v + model.end).argmax())
-    path = [last]
-    for t in range(len(e) - 1, 0, -1):
-        path.append(int(backptr[t, path[-1]]))
-    path.reverse()
-    return tuple(model.tags[i] for i in path)
+    best = _viterbi(e, np.ones(len(inst), dtype=np.int64), model)
+    return tuple(model.tags[i] for i in best.tolist())
 
 
 def predict_tags(model: CrfModel, surfaces: Sequence[str]) -> tuple[str, ...]:
@@ -317,6 +370,27 @@ def predict_tags(model: CrfModel, surfaces: Sequence[str]) -> tuple[str, ...]:
     if not surfaces:
         return ()
     return viterbi(vectorize(surfaces, model), model)
+
+
+def decode_many(model: CrfModel, raws: Sequence[str]) -> list[LabeledReference]:
+    """Tokenize raw texts and decode them as one packed batch: the tags
+    `decode` gives each, from one emission product and one Viterbi pass."""
+    tokens = [tokenize(raw) for raw in raws]
+    tags: list[tuple[str, ...]] = [()] * len(raws)
+    lengths = np.array([len(toks) for toks in tokens], dtype=np.int64)
+    kept = np.flatnonzero(lengths).tolist()
+    if kept:
+        rows = (model.feature_ids.rows([t.surface for t in tokens[i]]) for i in kept)
+        x = id_matrix(itertools.chain.from_iterable(rows), model.feature_index)
+        pack = _Packing(lengths[kept])
+        best = np.empty(len(pack.source), dtype=np.intp)
+        best[pack.source] = _viterbi((x @ model.emission)[pack.source], pack.widths, model)
+        names = [model.tags[i] for i in best.tolist()]
+        end = 0
+        for i in kept:
+            start, end = end, end + len(tokens[i])
+            tags[i] = tuple(names[start:end])
+    return [LabeledReference(raw=r, tokens=k, tags=g) for r, k, g in zip(raws, tokens, tags)]
 
 
 def decode(model: CrfModel, raw: str) -> LabeledReference:
@@ -338,33 +412,18 @@ class CrfGradient:
     end: np.ndarray
 
 
-class _Batch:
+class _Batch(_Packing):
     """Gold instances packed for `_forward_backward`, from their rows `x` and
-    gold tag ids stacked one instance after another and their `lengths` (all
-    >= 1): sorted longest first (stable), then laid out time-major, so that
-    every per-position array of the batch shares one (P, L) row order."""
+    gold tag ids stacked one instance after another and their `lengths`,
+    with the observed transition, begin and end counts."""
 
     def __init__(
         self, x: sparse.csr_matrix, gold: np.ndarray, lengths: np.ndarray, n_tags: int
     ):
-        order = np.argsort(-lengths, kind="stable")
-        self.widths = _count_above(lengths)
-        starts = np.cumsum(self.widths) - self.widths
-
-        # packed row -> (step, slot in sorted order) -> instance-major row
-        step = np.repeat(np.arange(len(self.widths)), self.widths)
-        self.slot = np.arange(len(step)) - starts[step]
-        first = np.cumsum(lengths) - lengths
-        source = first[order[self.slot]] + step
-        self.x = x[source]
-        self.gold = gold[source]
-        # the row of step t-1 continued by each row of steps 1, 2, ...
+        super().__init__(lengths)
+        self.x = x[self.source]
+        self.gold = g = gold[self.source]
         w0 = self.widths[0]
-        self.prev = np.arange(w0, len(step)) - np.repeat(self.widths[:-1], self.widths[1:])
-        self.last = _last_rows(self.widths)
-
-        # observed transition / begin / end counts
-        g = self.gold
         self.trans_counts = np.zeros((n_tags, n_tags))
         np.add.at(self.trans_counts, (g[self.prev], g[w0:]), 1.0)
         self.begin_counts = np.bincount(g[:w0], minlength=n_tags)

@@ -4,7 +4,8 @@ Every template emits a readable string name like "w[-1]=vol" or "shape[0]=d";
 names carry their template id and offset so they never collide across
 templates. The mapping from names to dense ids (FeatureIndex) is frozen at
 training time and serialized with the model, so unknown names at inference
-simply score zero.
+simply score zero. FeatureIds builds the same rows as ids directly, from a
+cache of each distinct token surface's ids.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Sized
+from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
 from scipy import sparse
@@ -137,41 +138,77 @@ def _attributes(s: str, config: FeatureConfig) -> list[tuple[str, str]]:
     return attrs
 
 
+_BUCKETS = ("first", "last", "early", "mid", "late")
+
+
+def _bucket(position: int, n: int) -> int:
+    """Index into _BUCKETS of a position in an instance of n tokens."""
+    if position == 0:
+        return 0
+    if position == n - 1:
+        return 1
+    if 3 * position < n:
+        return 2
+    return 3 if 3 * position < 2 * n else 4
+
+
+@functools.cache
+def _marks(window: int) -> tuple[str, ...]:
+    """The window offsets as names carry them: "[-2]", ..., "[2]"."""
+    return tuple(f"[{off}]" for off in range(-window, window + 1))
+
+
+def _token_names(s: str, config: FeatureConfig) -> tuple[list[list[str]], list[str]]:
+    """The names token `s` contributes: its attributes, computed once and
+    named at each window offset, and its affixes, which only the position
+    it centers uses."""
+    attrs = _attributes(s, config)
+    window = [
+        [f"{template}{mark}{value}" for template, value in attrs]
+        for mark in _marks(config.window)
+    ]
+    low = s.lower()
+    affixes: list[str] = []
+    for k in AFFIX_LENGTHS:
+        if len(low) >= k:
+            affixes += (f"pre[{k}]={low[:k]}", f"suf[{k}]={low[-k:]}")
+    return window, affixes
+
+
+def _fixed_names(config: FeatureConfig) -> tuple[list[list[str]], ...]:
+    """The names that do not depend on a token: bos and eos per window
+    offset, and one per position bucket."""
+    return (
+        [["bos" + mark] for mark in _marks(config.window)],
+        [["eos" + mark] for mark in _marks(config.window)],
+        [[f"posbucket={b}"] for b in _BUCKETS],
+    )
+
+
+def _rows(tokens: Sequence[tuple], bos: list, eos: list, buckets: list) -> Iterator[list]:
+    """Every position's row in template order: the window offsets from
+    -window to +window (`bos`/`eos` past the ends), the center token's
+    affixes, then the position bucket. `tokens` holds each position's
+    (window parts, affixes) as `_token_names` returns them and the other
+    arguments are `_fixed_names`; the parts are names or their ids."""
+    n = len(tokens)
+    width = len(bos)
+    pad = width // 2
+    padded = [bos] * pad + [parts for parts, _ in tokens] + [eos] * pad
+    for position, (_, affixes) in enumerate(tokens):
+        row: list = []
+        for k, parts in enumerate(padded[position : position + width]):
+            row += parts[k]  # what the token k - pad away gives at that offset
+        row += affixes
+        row += buckets[_bucket(position, n)]
+        yield row
+
+
 def extract(surfaces: Sequence[str], config: FeatureConfig) -> list[list[str]]:
-    """Feature names for every position of one instance. Each token's
-    attributes are computed once, then named per window offset."""
-    n = len(surfaces)
-    attrs = [_attributes(s, config) for s in surfaces]
-    offsets = [(off, f"[{off}]") for off in range(-config.window, config.window + 1)]
-    rows: list[list[str]] = []
-    for position, s in enumerate(surfaces):
-        feats: list[str] = []
-        for off, mark in offsets:
-            j = position + off
-            if j < 0:
-                feats.append("bos" + mark)
-            elif j >= n:
-                feats.append("eos" + mark)
-            else:
-                feats += [template + mark + value for template, value in attrs[j]]
-        center = s.lower()
-        for k in AFFIX_LENGTHS:
-            if len(center) >= k:
-                feats.append(f"pre[{k}]={center[:k]}")
-                feats.append(f"suf[{k}]={center[-k:]}")
-        if position == 0:
-            bucket = "first"
-        elif position == n - 1:
-            bucket = "last"
-        elif 3 * position < n:
-            bucket = "early"
-        elif 3 * position < 2 * n:
-            bucket = "mid"
-        else:
-            bucket = "late"
-        feats.append(f"posbucket={bucket}")
-        rows.append(feats)
-    return rows
+    """Feature names for every position of one instance; a surface that
+    recurs in it has its names built once."""
+    names = {s: _token_names(s, config) for s in set(surfaces)}
+    return list(_rows([names[s] for s in surfaces], *_fixed_names(config)))
 
 
 @dataclass
@@ -197,6 +234,41 @@ class FeatureIndex:
         ids = self._ids
         out = [ids.get(n) for n in names]
         return [i for i in out if i is not None]
+
+
+# distinct surfaces a FeatureIds holds; it is cleared when it reaches this
+_SURFACE_CACHE_SIZE = 1 << 14
+
+
+class FeatureIds:
+    """The id path of `extract`: `rows(surfaces)` equals
+    `map(index.lookup_many, extract(surfaces, config))`, id for id.
+
+    Each distinct surface's known ids per window offset and its affix ids
+    are looked up once and cached, so a row is assembled from cached ids
+    (CRFsuite's split of token attributes from the features they fire).
+    """
+
+    def __init__(self, index: FeatureIndex, config: FeatureConfig):
+        self.index = index
+        self.config = config
+        self._fixed = [
+            [index.lookup_many(names) for names in group] for group in _fixed_names(config)
+        ]
+        self._tokens: dict[str, tuple[list[list[int]], list[int]]] = {}
+
+    def rows(self, surfaces: Sequence[str]) -> Iterator[list[int]]:
+        cache, lookup = self._tokens, self.index.lookup_many
+        tokens = []
+        for s in surfaces:
+            ids = cache.get(s)
+            if ids is None:
+                if len(cache) >= _SURFACE_CACHE_SIZE:
+                    cache.clear()
+                window, affixes = _token_names(s, self.config)
+                ids = cache[s] = ([lookup(names) for names in window], lookup(affixes))
+            tokens.append(ids)
+        return _rows(tokens, *self._fixed)
 
 
 def id_matrix(id_lists: Iterable[Sequence[int]], features: Sized) -> sparse.csr_matrix:

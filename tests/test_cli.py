@@ -6,7 +6,9 @@ import math
 import pytest
 
 import refparse as rp
+from refparse import cli
 from refparse.cli import run
+from refparse.corpus import format_inline_xml
 from refparse.crf import empty_model, save_model
 from refparse.features import FeatureConfig, FeatureIndex
 
@@ -273,6 +275,12 @@ BAD_CLI_INPUTS = {
         ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--gazetteer-dir", "{d}"],
         1, ".txt",
     ),
+    "train_no_gazetteers_with_gazetteer_dir": (
+        {"c.xml": GOOD_CORPUS, "g.txt": b"vol\n"},
+        ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--no-gazetteers",
+         "--gazetteer-dir", "{d}"],
+        1, "--no-gazetteers and --gazetteer-dir",
+    ),
     "train_zero_max_epochs": (
         {"c.xml": GOOD_CORPUS},
         ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--max-epochs", "0"],
@@ -318,6 +326,30 @@ def test_v1_model_file_still_loads(tmp_path):
     assert out.read_bytes() == (DATA_DIR / "v1_parse.xml").read_bytes()
     save_model(rp.load_model(model_path), tmp_path / "again.gz")
     assert (tmp_path / "again.gz").read_bytes() == model_path.read_bytes()
+
+
+@pytest.mark.parametrize("out_format", ["inline", "conll"])
+def test_parse_across_chunks_matches_line_by_line_decode(
+    out_format, tmp_path, small_model_and_eval, monkeypatch
+):
+    model, eval_c = small_model_and_eval
+    model_path = tmp_path / "model.gz"
+    save_model(model, model_path)
+    refs = [inst.raw for inst in eval_c.instances[:10]]
+    text = "\n".join(["", refs[0], "  ", *refs[1:4], "", f"  {refs[4]} ", *refs[5:], ""])
+    (tmp_path / "refs.txt").write_text(text + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_PARSE_CHUNK", 3)
+    out = tmp_path / "parsed.txt"
+    assert run(["parse", "--model", str(model_path), "--in", str(tmp_path / "refs.txt"),
+                "--out", str(out), "--format", out_format]) == 0
+    want = []
+    for ref in refs:
+        inst = rp.decode(model, ref)
+        if out_format == "inline":
+            want.append(format_inline_xml(inst))
+        else:
+            want += [f"{t.surface}\t{tag}" for t, tag in zip(inst.tokens, inst.tags)] + [""]
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
 
 def test_parse_figure_string_end_to_end(tmp_path, small_model_and_eval, capsys):

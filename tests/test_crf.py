@@ -193,6 +193,55 @@ class TestViterbi:
             check_iob2(crf.viterbi(inst, m))
 
 
+def _mixed_lines() -> list[str]:
+    """Mixed A/B references, shuffled, with 1-token lines, lines of equal
+    token counts and duplicate lines."""
+    records = rp.random_records(60, seed=11)
+    lines = [
+        inst.raw
+        for family, seed in (("A", 12), ("B", 13))
+        for inst in rp.generate_corpus(
+            records, rp.style_family(family), n=60, seed=seed
+        ).instances
+    ]
+    lines += ["2015", "Smith", ".", "Proc of IEEE", "vol 44 no", "pp 1 2"]
+    lines += lines[:10]
+    np.random.default_rng(14).shuffle(lines)
+    return lines
+
+
+class TestDecodeMany:
+    def test_matches_line_by_line_decode(self, small_model_and_eval):
+        model, _ = small_model_and_eval
+        lines = _mixed_lines()
+        lengths = [len(rp.tokenize(line)) for line in lines]
+        assert 1 in lengths and len(set(lengths)) < len(lengths)
+        assert crf.decode_many(model, lines) == [crf.decode(model, line) for line in lines]
+
+    def test_zero_weights_decode_all_o(self, small_model_and_eval):
+        model, _ = small_model_and_eval
+        zeroed = crf.empty_model(model.labels, model.feature_index, model.feature_config)
+        lines = _mixed_lines()
+        for inst in crf.decode_many(zeroed, lines):
+            assert inst.tags == ("O",) * len(inst.tokens)
+
+    def test_empty_lines_decode_to_no_tags(self, small_model_and_eval):
+        model, _ = small_model_and_eval
+        got = crf.decode_many(model, ["", "Smith", "  "])
+        assert [inst.tags for inst in got] == [(), crf.decode(model, "Smith").tags, ()]
+        assert crf.decode_many(model, []) == []
+
+    def test_tags_survive_a_cleared_surface_cache(self, small_model_and_eval, monkeypatch):
+        model, _ = small_model_and_eval
+        lines = _mixed_lines()
+        want = crf.decode_many(replace(model), lines)
+        monkeypatch.setattr(features, "_SURFACE_CACHE_SIZE", 3)
+        small = replace(model)  # a fresh model, with an empty cache
+        assert crf.decode_many(small, lines) == want
+        assert [crf.decode(small, line) for line in lines] == want
+        assert len(small.feature_ids._tokens) <= 3
+
+
 class TestMarginals:
     def test_uniform_under_zero_weights(self):
         m = unconstrained_model(2)

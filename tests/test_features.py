@@ -1,8 +1,10 @@
 import pytest
 
+import refparse as rp
 from refparse.errors import UsageError
 from refparse.features import (
     FeatureConfig,
+    FeatureIds,
     builtin_gazetteers,
     build_index,
     corpus_features,
@@ -163,3 +165,32 @@ GOLDEN_FEATURES = [
 
 def test_extract_golden_names_and_order():
     assert extract(GOLDEN_SURFACES, FeatureConfig()) == GOLDEN_FEATURES
+
+
+def _mixed_surfaces():
+    records = rp.random_records(40, seed=3)
+    return [
+        inst.surfaces()
+        for family, seed in (("A", 4), ("B", 5))
+        for inst in rp.generate_corpus(
+            records, rp.style_family(family), n=40, seed=seed
+        ).instances
+    ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [FeatureConfig(), FeatureConfig(min_count=2), FeatureConfig(window=0),
+     FeatureConfig(gazetteers={})],
+    ids=["default", "min_count_2", "window_0", "no_gazetteers"],
+)
+def test_cached_rows_equal_looked_up_names(config):
+    corpus = _mixed_surfaces()
+    # index on the A half, so the B half holds names the index does not know
+    index, _ = build_index(corpus_features(corpus[:40], config), config.min_count)
+    ids = FeatureIds(index, config)
+    for surfaces in [GOLDEN_SURFACES] + corpus + corpus[::-1]:  # twice: the cache warm
+        assert list(ids.rows(surfaces)) == [
+            index.lookup_many(names) for names in extract(surfaces, config)
+        ]
+
