@@ -28,6 +28,7 @@ from .labels import (
     OUT,
     LabeledReference,
     Token,
+    _segments,
     is_field_label,
     sort_fields,
     tag_field,
@@ -175,11 +176,9 @@ def write_inline_xml(corpus: Corpus, path) -> None:
 
 def format_inline_xml(inst: LabeledReference) -> str:
     """One reference as a single inline-XML line."""
-    from .labels import segments_from_tags
-
     out: list[str] = []
     cursor = 0
-    for seg in segments_from_tags(inst.tags, inst.tokens):
+    for seg in _segments(inst.tags, inst.tokens):
         start = inst.tokens[seg.start].start
         end = inst.tokens[seg.end - 1].end
         out.append(_escape(inst.raw[cursor:start]))

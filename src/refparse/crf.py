@@ -72,19 +72,11 @@ def tags_for_labels(labels: Sequence[str]) -> tuple[str, ...]:
 
 def _structure_masks(tags: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(transition mask, begin mask): True where the weight is a free
-    parameter, False where it is structurally -inf."""
-    n = len(tags)
-    trans = np.ones((n, n), dtype=bool)
-    begin = np.ones(n, dtype=bool)
-    for j, tj in enumerate(tags):
-        if tag_kind(tj) != "I":
-            continue
-        fj = tag_field(tj)
-        begin[j] = False
-        for i, ti in enumerate(tags):
-            if tag_kind(ti) == "O" or tag_field(ti) != fj:
-                trans[i, j] = False
-    return trans, begin
+    parameter, False where it is structurally -inf. Only B-f and I-f may
+    precede I-f, and no path begins on an I tag."""
+    begin = np.array([tag_kind(t) != "I" for t in tags])
+    fields = np.array([tag_field(t) or "" for t in tags])  # O has no field
+    return begin[None, :] | (fields[:, None] == fields[None, :]), begin
 
 
 @dataclass(frozen=True)
@@ -233,53 +225,42 @@ def score_path(inst: VectorizedInstance, tags: Sequence[str], model: CrfModel) -
     return float(total)
 
 
-def _count_above(counts: np.ndarray) -> np.ndarray:
-    """out[k] = number of counts above k: instance lengths -> step widths,
-    and step widths -> the lengths sorted longest first."""
-    return np.bincount(counts - 1)[::-1].cumsum()[::-1]
-
-
-def _last_rows(widths: np.ndarray) -> np.ndarray:
-    """Packed row of each instance's last position, longest instance first."""
-    starts = np.cumsum(widths) - widths
-    return starts[_count_above(widths) - 1] + np.arange(widths[0])
-
-
 class _Packing:
     """Instances of the given `lengths` (all >= 1) packed for the recursions:
     sorted longest first (stable), then laid out time-major, so that every
-    per-position array of the batch shares one (P, L) row order. `source`
-    maps each packed row to its row in the instances stacked one after
-    another, and `slot` to its instance's place in the sorted order."""
+    per-position array of the batch shares one (P, L) row order. Step t is
+    the `widths[t]` rows from `starts[t]` on, and they continue the first
+    `widths[t]` rows of step t-1. `source` maps each packed row to its row in
+    the instances stacked one after another, `slot` to its instance's place
+    in the sorted order, and `last[k]` is the last row of sorted instance k."""
 
     def __init__(self, lengths: np.ndarray):
         order = np.argsort(-lengths, kind="stable")
-        self.widths = _count_above(lengths)
-        starts = np.cumsum(self.widths) - self.widths
+        # the number of instances longer than t, for every step t
+        self.widths = np.bincount(lengths - 1)[::-1].cumsum()[::-1]
+        self.starts = np.cumsum(self.widths) - self.widths
 
         # packed row -> (step, slot in sorted order) -> instance-major row
         step = np.repeat(np.arange(len(self.widths)), self.widths)
-        self.slot = np.arange(len(step)) - starts[step]
+        self.slot = np.arange(len(step)) - self.starts[step]
         first = np.cumsum(lengths) - lengths
         self.source = first[order[self.slot]] + step
         # the row of step t-1 continued by each row of steps 1, 2, ...
         w0 = self.widths[0]
         self.prev = np.arange(w0, len(step)) - np.repeat(self.widths[:-1], self.widths[1:])
-        self.last = _last_rows(self.widths)
+        self.last = self.starts[lengths[order] - 1] + np.arange(len(lengths))
 
 
 def _forward_backward(
-    e: np.ndarray, widths: np.ndarray, model: CrfModel
+    e: np.ndarray, pack: _Packing, model: CrfModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-space forward and backward tables over a packed batch.
 
-    The instances are sorted longest first and laid out time-major: step t
-    is one block of `widths[t]` rows, and its rows continue the first
-    `widths[t]` rows of step t-1. `e` holds the (P, L) emission scores in
-    that order. Returns alphas and betas (P, L) in the same order, and logz
-    (N,) per instance, longest first.
+    `e` holds the (P, L) emission scores in the packing's row order. Returns
+    alphas and betas (P, L) in the same order, and logz (N,) per instance,
+    longest first.
     """
-    starts = np.cumsum(widths) - widths
+    widths, starts = pack.widths, pack.starts
     exp_trans = np.exp(model.transition)
 
     alphas = np.empty_like(e)
@@ -298,37 +279,38 @@ def _forward_backward(
             v = betas[rows] + e[rows]
             m = v.max(axis=1, keepdims=True)
             betas[prev] = m + np.log(np.exp(v - m) @ exp_trans.T)
-    final = alphas[_last_rows(widths)] + model.end
+    final = alphas[pack.last] + model.end
     m = final.max(axis=1, keepdims=True)
     logz = m[:, 0] + np.log(np.exp(final - m).sum(axis=1))
     return alphas, betas, logz
 
 
+def _one(inst: VectorizedInstance, model: CrfModel, what: str) -> tuple[np.ndarray, _Packing]:
+    """Emission scores and packing of one instance, which must not be empty."""
+    if len(inst) == 0:
+        raise StructuralError(f"{what} of a zero-length instance")
+    return inst.x @ model.emission, _Packing(np.array([len(inst)]))
+
+
 def log_partition(inst: VectorizedInstance, model: CrfModel) -> float:
     """log of the summed exponentiated scores over all tag paths."""
-    if len(inst) == 0:
-        raise StructuralError("log_partition of a zero-length instance")
-    e = inst.x @ model.emission
-    _, _, logz = _forward_backward(e, np.ones(len(inst), dtype=np.int64), model)
+    _, _, logz = _forward_backward(*_one(inst, model, "log_partition"), model)
     return float(logz[0])
 
 
 def marginals(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
     """(T, L) per-position tag posteriors; rows sum to 1."""
-    if len(inst) == 0:
-        raise StructuralError("marginals of a zero-length instance")
-    e = inst.x @ model.emission
-    alphas, betas, logz = _forward_backward(e, np.ones(len(inst), dtype=np.int64), model)
+    alphas, betas, logz = _forward_backward(*_one(inst, model, "marginals"), model)
     return np.exp(alphas + betas - logz[0])
 
 
-def _viterbi(e: np.ndarray, widths: np.ndarray, model: CrfModel) -> np.ndarray:
-    """Highest-scoring tag ids of a packed batch, laid out as in
-    `_forward_backward`; ties break toward the lowest tag id. `e` holds the
-    emission scores and is overwritten with the best path scores."""
+def _viterbi(e: np.ndarray, pack: _Packing, model: CrfModel) -> np.ndarray:
+    """Highest-scoring tag ids of a packed batch, in the packing's row order;
+    ties break toward the lowest tag id. `e` holds the emission scores and
+    is overwritten with the best path scores."""
     n_tags = e.shape[1]
-    steps = widths.tolist()
-    starts = (np.cumsum(widths) - widths).tolist()
+    steps = pack.widths.tolist()
+    starts = pack.starts.tolist()
     trans_to_from = model.transition.T
     # flat indices: of each row's tag 0 in `e`, and of (row, to, from 0) in a
     # step's scores
@@ -346,7 +328,7 @@ def _viterbi(e: np.ndarray, widths: np.ndarray, model: CrfModel) -> np.ndarray:
         np.add(arg, row_base[prev : prev + w, None], out=back[lo : lo + w])
     # each instance's path ends at its last row; the rows of step t continue
     # the paths of step t+1 back through `back`
-    last = _last_rows(widths)
+    last = pack.last
     best = np.empty(len(e), dtype=np.intp)  # flat index of each row's (row, tag)
     best[last] = (v[last] + model.end).argmax(axis=1) + row_base[last]
     flat_back = back.ravel()
@@ -358,46 +340,45 @@ def _viterbi(e: np.ndarray, widths: np.ndarray, model: CrfModel) -> np.ndarray:
 
 def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
     """Highest-scoring tag path; ties break toward the lowest tag id."""
-    if len(inst) == 0:
-        raise StructuralError("viterbi of a zero-length instance")
-    e = inst.x @ model.emission
-    best = _viterbi(e, np.ones(len(inst), dtype=np.int64), model)
+    best = _viterbi(*_one(inst, model, "viterbi"), model)
     return tuple(model.tags[i] for i in best.tolist())
+
+
+def _decode(model: CrfModel, surfaces: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
+    """The tags of each token-surface sequence, decoded as one packed batch:
+    one emission product and one Viterbi pass. Empty sequences get ()."""
+    tags: list[tuple[str, ...]] = [()] * len(surfaces)
+    lengths = np.array([len(s) for s in surfaces], dtype=np.int64)
+    kept = np.flatnonzero(lengths).tolist()
+    if kept:
+        rows = (model.feature_ids.rows(surfaces[i]) for i in kept)
+        x = id_matrix(itertools.chain.from_iterable(rows), model.feature_index)
+        pack = _Packing(lengths[kept])
+        best = np.empty(len(pack.source), dtype=np.intp)
+        best[pack.source] = _viterbi((x @ model.emission)[pack.source], pack, model)
+        names = [model.tags[i] for i in best.tolist()]
+        end = 0
+        for i in kept:
+            start, end = end, end + len(surfaces[i])
+            tags[i] = tuple(names[start:end])
+    return tags
 
 
 def predict_tags(model: CrfModel, surfaces: Sequence[str]) -> tuple[str, ...]:
     """Decode one token sequence; empty input decodes to ()."""
-    if not surfaces:
-        return ()
-    return viterbi(vectorize(surfaces, model), model)
+    return _decode(model, [surfaces])[0]
 
 
 def decode_many(model: CrfModel, raws: Sequence[str]) -> list[LabeledReference]:
-    """Tokenize raw texts and decode them as one packed batch: the tags
-    `decode` gives each, from one emission product and one Viterbi pass."""
+    """Tokenize raw texts and decode them as one packed batch."""
     tokens = [tokenize(raw) for raw in raws]
-    tags: list[tuple[str, ...]] = [()] * len(raws)
-    lengths = np.array([len(toks) for toks in tokens], dtype=np.int64)
-    kept = np.flatnonzero(lengths).tolist()
-    if kept:
-        rows = (model.feature_ids.rows([t.surface for t in tokens[i]]) for i in kept)
-        x = id_matrix(itertools.chain.from_iterable(rows), model.feature_index)
-        pack = _Packing(lengths[kept])
-        best = np.empty(len(pack.source), dtype=np.intp)
-        best[pack.source] = _viterbi((x @ model.emission)[pack.source], pack.widths, model)
-        names = [model.tags[i] for i in best.tolist()]
-        end = 0
-        for i in kept:
-            start, end = end, end + len(tokens[i])
-            tags[i] = tuple(names[start:end])
+    tags = _decode(model, [[t.surface for t in toks] for toks in tokens])
     return [LabeledReference(raw=r, tokens=k, tags=g) for r, k, g in zip(raws, tokens, tags)]
 
 
 def decode(model: CrfModel, raw: str) -> LabeledReference:
     """Tokenize raw text and decode it."""
-    tokens = tokenize(raw)
-    tags = predict_tags(model, tuple(t.surface for t in tokens))
-    return LabeledReference(raw=raw, tokens=tokens, tags=tags)
+    return decode_many(model, [raw])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +417,7 @@ def _batch_nll_grad(
     tmask, bmask = _structure_masks(model.tags)
     w0 = batch.widths[0]
     e = batch.x @ model.emission  # (P, L)
-    alphas, betas, logz = _forward_backward(e, batch.widths, model)
+    alphas, betas, logz = _forward_backward(e, batch, model)
     logz_rows = logz[batch.slot, None]
 
     # per-position posteriors; the exponent is <= 0 up to rounding
@@ -541,13 +522,12 @@ def train(
     corpus: "Corpus",
     feature_config: FeatureConfig | None = None,
     train_config: TrainConfig | None = None,
-    training_log: list[tuple[int, float]] | None = None,
 ) -> CrfModel:
     """Fit a model on a labeled corpus over its declared label subset.
 
     Deterministic given the corpus order and configs (weights start at zero
-    and the optimizer has no stochastic component). Appends (step, NLL) pairs
-    to `training_log` when given, and logs them at INFO level.
+    and the optimizer has no stochastic component). Logs the (step, NLL)
+    pairs at INFO level.
     """
     feature_config = feature_config or FeatureConfig()
     train_config = train_config or TrainConfig()
@@ -590,8 +570,6 @@ def train(
     )
     for step, value in result.log:
         log.info("epoch %d: nll %.6f", step, value)
-        if training_log is not None:
-            training_log.append((step, value))
     if not result.converged:
         log.warning(
             "training stopped at max_epochs=%d before converging "

@@ -166,6 +166,14 @@ def segments_from_tags(
     if len(tags) != len(tokens):
         raise StructuralError(f"{len(tags)} tags vs {len(tokens)} tokens")
     check_iob2(tags)
+    return _segments(tags, tokens)
+
+
+def _segments(
+    tags: Sequence[str], tokens: Sequence[Token] | Sequence[str]
+) -> list[FieldSegment]:
+    """`segments_from_tags` without its checks, for tags already known to be
+    IOB2 and aligned with the tokens (those of a LabeledReference)."""
     surfaces = [t.surface if isinstance(t, Token) else t for t in tokens]
     segments: list[FieldSegment] = []
     start = -1

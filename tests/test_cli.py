@@ -6,11 +6,12 @@ import math
 import pytest
 
 import refparse as rp
-from refparse import cli
+from refparse import cli, labels
 from refparse.cli import run
 from refparse.corpus import format_inline_xml
 from refparse.crf import empty_model, save_model
 from refparse.features import FeatureConfig, FeatureIndex
+from refparse.labels import check_iob2
 
 from conftest import DATA_DIR, FIGURE1_TEXT
 
@@ -350,6 +351,24 @@ def test_parse_across_chunks_matches_line_by_line_decode(
         else:
             want += [f"{t.surface}\t{tag}" for t, tag in zip(inst.tokens, inst.tags)] + [""]
     assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+
+
+def test_parse_checks_each_line_iob2_once(tmp_path, small_model_and_eval, monkeypatch):
+    model, eval_c = small_model_and_eval
+    model_path = tmp_path / "model.gz"
+    save_model(model, model_path)
+    refs = tmp_path / "refs.txt"
+    refs.write_text("".join(inst.raw + "\n" for inst in eval_c.instances[:20]), encoding="utf-8")
+    calls = []
+
+    def counting_check(tags):
+        calls.append(tuple(tags))
+        return check_iob2(tags)
+
+    monkeypatch.setattr(labels, "check_iob2", counting_check)
+    assert run(["parse", "--model", str(model_path), "--in", str(refs),
+                "--out", str(tmp_path / "parsed.xml")]) == 0
+    assert len(calls) == 20
 
 
 def test_parse_figure_string_end_to_end(tmp_path, small_model_and_eval, capsys):

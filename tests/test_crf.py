@@ -40,6 +40,27 @@ def simple_instance(feats_per_pos, gold=None, n_feats: int = 4):
     return oracles.instance(feats_per_pos, n_feats, gold)
 
 
+class TestStructure:
+    def test_masks_of_two_fields(self):
+        m = crf.empty_model(
+            ["title", "author"], FeatureIndex(names=("f0",)), FeatureConfig(gazetteers={})
+        )
+        assert m.tags == ("O", "B-author", "I-author", "B-title", "I-title")
+        trans, begin = crf._structure_masks(m.tags)
+        # row: from tag, column: to tag; only B-f and I-f may precede I-f
+        np.testing.assert_array_equal(
+            trans,
+            [
+                [True, True, False, True, False],
+                [True, True, True, True, False],
+                [True, True, True, True, False],
+                [True, True, False, True, True],
+                [True, True, False, True, True],
+            ],
+        )
+        np.testing.assert_array_equal(begin, [True, True, False, True, False])
+
+
 class TestVectorize:
     def test_rows_hold_extracted_ids(self):
         cfg = FeatureConfig(window=1)
@@ -208,6 +229,24 @@ def _mixed_lines() -> list[str]:
     lines += lines[:10]
     np.random.default_rng(14).shuffle(lines)
     return lines
+
+
+class TestPackedViterbi:
+    def test_each_packed_path_matches_enumeration_argmax(self):
+        rng = np.random.default_rng(15)
+        for _ in range(36):
+            m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)))
+            lengths = rng.integers(1, 7, size=int(rng.integers(2, 7)))
+            lengths[-1] = lengths[0]  # at least two instances of equal length
+            insts = [oracles.random_instance(rng, m, int(n)) for n in lengths]
+            e = sparse.vstack([inst.x for inst in insts], format="csr") @ m.emission
+            pack = crf._Packing(lengths)
+            best = np.empty(len(e), dtype=np.intp)
+            best[pack.source] = crf._viterbi(e[pack.source], pack, m)
+            paths = np.split(best, np.cumsum(lengths)[:-1])
+            for inst, path in zip(insts, paths):
+                _, want, _ = oracles.enumerate_all(inst, m)
+                assert tuple(path.tolist()) == want
 
 
 class TestDecodeMany:
@@ -404,12 +443,10 @@ class TestTraining:
         corpus = rp.generate_corpus(
             rp.random_records(1, seed=1), rp.style_family("A")[:1], n=1, seed=1
         )
-        log = []
         model = crf.train(
             corpus,
             FeatureConfig(),
             crf.TrainConfig(l2=0.0, max_epochs=500, tol=1e-9),
-            training_log=log,
         )
         inst = corpus.instances[0]
         vec = crf.vectorize(inst.surfaces(), model, gold_tags=inst.tags)
@@ -437,14 +474,22 @@ class TestTraining:
         decoded = crf.predict_tags(zeroed, corpus.instances[0].surfaces())
         assert set(decoded) == {"O"}
 
-    def test_training_log_monotone_and_deterministic(self):
+    def test_training_log_monotone_and_deterministic(self, caplog):
         corpus = rp.generate_corpus(
             rp.random_records(30, seed=3), rp.style_family("A")[:3], n=60, seed=3
         )
         cfg = crf.TrainConfig(l2=1.0, max_epochs=40, tol=1e-6)
-        log1, log2 = [], []
-        m1 = crf.train(corpus, FeatureConfig(), cfg, training_log=log1)
-        m2 = crf.train(corpus, FeatureConfig(), cfg, training_log=log2)
+
+        def logged_train():
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="refparse.crf"):
+                model = crf.train(corpus, FeatureConfig(), cfg)
+            steps = [r.args for r in caplog.records if r.msg.startswith("epoch")]
+            return model, steps
+
+        m1, log1 = logged_train()
+        m2, log2 = logged_train()
+        assert len(log1) > 1
         nlls = [v for _, v in log1]
         assert all(b <= a for a, b in zip(nlls, nlls[1:]))
         assert log1 == log2
