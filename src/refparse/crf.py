@@ -10,6 +10,23 @@ log-sum-exp is computed as max-shift + exp + matmul against exp(transitions),
 which keeps the per-step work in BLAS. Against brute-force enumeration this
 was exact on every random model tried with weights in +-200 (pinned by
 test_large_weights_match_enumeration) and wrong on 7 of 100 in +-400.
+
+The posteriors and expected transition counts come from the tables the
+recursion already computed, with no (P, L) exponential of their own: for
+a row r after an instance's first position, forward-backward keeps
+left = exp(alpha[r-1] - m), fwd = left @ exp(transitions) and
+right = exp(beta[r] + e[r] - m'), where the shifts m and m' are row maxima,
+so left and right are at most 1. The pairwise marginal is
+left[i] exp(transitions[i, j]) right[j] c with c = exp(m + m' - logZ)
+(Sutton & McCallum 2012, section 4.1). The posterior of (r, j) is its sum
+over i, fwd[j] right[j] c. c is the one factor that can overflow: on the
+rows where it would pass exp(_EXP_CAP), which only weights far beyond
+trained sizes reach, the posteriors are taken in logs and each right[j] c
+is capped at exp(_EXP_CAP), as the pair terms always were.
+
+Training keeps its feature rows factored by token surface (see
+features.FeatureIds.factors), so the emission scores and their gradient
+run over a few keys per position instead of every feature id.
 """
 
 from __future__ import annotations
@@ -55,8 +72,8 @@ _TOKENIZER_CONFIG = {"split_digit_letter": True, "split_punctuation": True}
 
 NEG_INF = float("-inf")
 
-# exponent cap used when factoring exp(a+b) as exp(a)*exp(b) in the pairwise
-# expectation; the module docstring gives the weight range where that is exact
+# exponent cap of the factor right[j] exp(m + m' - logZ) of the pairwise
+# marginals; the module docstring gives the weight range where they are exact
 _EXP_CAP = 600.0
 
 
@@ -254,35 +271,78 @@ class _Packing:
 def _forward_backward(
     e: np.ndarray, pack: _Packing, model: CrfModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-space forward and backward tables over a packed batch.
+    """Exact inference over a packed batch.
 
     `e` holds the (P, L) emission scores in the packing's row order. Returns
-    alphas and betas (P, L) in the same order, and logz (N,) per instance,
+    the (P, L) tag posteriors in the same order, the (L, L) expected
+    transition counts summed over the batch, and logz (N,) per instance,
     longest first.
     """
-    widths, starts = pack.widths, pack.starts
+    widths, starts = pack.widths.tolist(), pack.starts.tolist()
+    w0 = widths[0]
     exp_trans = np.exp(model.transition)
 
-    alphas = np.empty_like(e)
-    alphas[: widths[0]] = model.begin + e[: widths[0]]
-    # rows on an instance's last position keep `end`; the rest are overwritten
-    betas = np.tile(model.end, (len(e), 1))
+    # for each row r of steps 1, 2, ... (at r - w0): left = exp(alpha[prev r]
+    # - m), fwd = left @ exp(trans), right = exp(beta[r] + e[r] - m') and
+    # shift = m + m'; fwd is written where r's posteriors go
+    mu = np.empty_like(e)
+    fwd = mu[w0:]
+    left = np.empty_like(fwd)
+    right = np.empty_like(fwd)
+    shift = np.empty((len(fwd), 1))
+
+    alpha = alpha0 = model.begin + e[:w0]  # the alphas of the current step
+    final = np.empty_like(alpha)  # the alphas of each instance's last row
     with np.errstate(divide="ignore"):
         for t in range(1, len(widths)):
-            prev = slice(starts[t - 1], starts[t - 1] + widths[t])
-            rows = slice(starts[t], starts[t] + widths[t])
-            m = alphas[prev].max(axis=1, keepdims=True)
-            alphas[rows] = m + np.log(np.exp(alphas[prev] - m) @ exp_trans) + e[rows]
+            w, lo = widths[t], starts[t]
+            q = slice(lo - w0, lo - w0 + w)
+            final[w : widths[t - 1]] = alpha[w:]
+            m = alpha[:w].max(axis=1, keepdims=True)
+            np.subtract(alpha[:w], m, out=left[q])
+            np.exp(left[q], out=left[q])
+            np.matmul(left[q], exp_trans, out=fwd[q])
+            alpha = np.log(fwd[q])
+            alpha += m
+            alpha += e[lo : lo + w]
+            shift[q] = m
+        final[: widths[-1]] = alpha
+        # the betas of step t in the first widths[t] rows; the rows past them
+        # keep `end`, as each instance's last position does
+        beta = np.tile(model.end, (w0, 1))
         for t in range(len(widths) - 1, 0, -1):
-            prev = slice(starts[t - 1], starts[t - 1] + widths[t])
-            rows = slice(starts[t], starts[t] + widths[t])
-            v = betas[rows] + e[rows]
+            w, lo = widths[t], starts[t]
+            q = slice(lo - w0, lo - w0 + w)
+            v = np.add(beta[:w], e[lo : lo + w], out=right[q])
             m = v.max(axis=1, keepdims=True)
-            betas[prev] = m + np.log(np.exp(v - m) @ exp_trans.T)
-    final = alphas[pack.last] + model.end
+            v -= m
+            np.exp(v, out=v)
+            shift[q] += m
+            np.log(v @ exp_trans.T, out=beta[:w])
+            beta[:w] += m
+    final += model.end
     m = final.max(axis=1, keepdims=True)
     logz = m[:, 0] + np.log(np.exp(final - m).sum(axis=1))
-    return alphas, betas, logz
+
+    # step 0: exp(alpha + beta - logz), whose exponent is <= 0 up to rounding
+    mu[:w0] = np.exp(np.minimum(alpha0 + beta - logz[:, None], 0.0))
+    # steps 1, 2, ...: the pairwise marginal of (prev r, i) -> (r, j) is
+    # left[i] exp(trans[i, j]) right[j] c with c = exp(shift - logz), and
+    # the posterior of (r, j) is its sum over i, fwd[j] right[j] c. On the
+    # rows where c would pass exp(_EXP_CAP) these products are taken in
+    # logs: the posteriors exactly, right[j] c capped at exp(_EXP_CAP)
+    shift -= logz[pack.slot[w0:], None]
+    big = np.flatnonzero(shift[:, 0] > _EXP_CAP)
+    with np.errstate(divide="ignore"):
+        log_right = np.log(right[big]) + shift[big]
+        mu_big = np.exp(np.minimum(np.log(fwd[big]) + log_right, 0.0))
+    right[big] = np.exp(np.minimum(log_right, _EXP_CAP))
+    shift[big] = 0.0
+    right *= np.exp(shift)
+    expected_trans = (left.T @ right) * exp_trans
+    fwd *= right
+    fwd[big] = mu_big
+    return mu, expected_trans, logz
 
 
 def _one(inst: VectorizedInstance, model: CrfModel, what: str) -> tuple[np.ndarray, _Packing]:
@@ -294,14 +354,14 @@ def _one(inst: VectorizedInstance, model: CrfModel, what: str) -> tuple[np.ndarr
 
 def log_partition(inst: VectorizedInstance, model: CrfModel) -> float:
     """log of the summed exponentiated scores over all tag paths."""
-    _, _, logz = _forward_backward(*_one(inst, model, "log_partition"), model)
+    *_, logz = _forward_backward(*_one(inst, model, "log_partition"), model)
     return float(logz[0])
 
 
 def marginals(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
     """(T, L) per-position tag posteriors; rows sum to 1."""
-    alphas, betas, logz = _forward_backward(*_one(inst, model, "marginals"), model)
-    return np.exp(alphas + betas - logz[0])
+    mu, _, _ = _forward_backward(*_one(inst, model, "marginals"), model)
+    return mu
 
 
 def _viterbi(e: np.ndarray, pack: _Packing, model: CrfModel) -> np.ndarray:
@@ -394,15 +454,26 @@ class CrfGradient:
 
 
 class _Batch(_Packing):
-    """Gold instances packed for `_forward_backward`, from their rows `x` and
-    gold tag ids stacked one instance after another and their `lengths`,
-    with the observed transition, begin and end counts."""
+    """Gold instances packed for `_forward_backward`, with the observed
+    transition, begin and end counts. Their feature rows, stacked one
+    instance after another, are `h @ xv`: `h` (P, K) picks each position's
+    keys and `xv` (K, F) holds each key's feature ids. `train` passes the
+    rows factored by surface (`FeatureIds.factors`), `nll_and_gradient` the
+    rows themselves with one key per feature. `gold` holds the gold tag ids
+    and `lengths` the instance lengths. The packing permutes the rows of `h`
+    and `gold` only."""
 
     def __init__(
-        self, x: sparse.csr_matrix, gold: np.ndarray, lengths: np.ndarray, n_tags: int
+        self,
+        h: sparse.csr_matrix,
+        xv: sparse.csr_matrix,
+        gold: np.ndarray,
+        lengths: np.ndarray,
+        n_tags: int,
     ):
         super().__init__(lengths)
-        self.x = x[self.source]
+        self.h = h[self.source]
+        self.xv = xv
         self.gold = g = gold[self.source]
         w0 = self.widths[0]
         self.trans_counts = np.zeros((n_tags, n_tags))
@@ -416,20 +487,8 @@ def _batch_nll_grad(
 ) -> tuple[float, CrfGradient]:
     tmask, bmask = _structure_masks(model.tags)
     w0 = batch.widths[0]
-    e = batch.x @ model.emission  # (P, L)
-    alphas, betas, logz = _forward_backward(e, batch, model)
-    logz_rows = logz[batch.slot, None]
-
-    # per-position posteriors; the exponent is <= 0 up to rounding
-    mu = np.exp(np.minimum(alphas + betas - logz_rows, 0.0))
-
-    # expected transition counts over every row r of steps 1, 2, ...:
-    # sum_r exp(alpha[prev r, i]) exp(trans[i, j]) exp(e + beta - logz)[r, j]
-    a_prev = alphas[batch.prev]
-    s1 = a_prev.max(axis=1, keepdims=True)
-    left = np.exp(a_prev - s1)
-    right = np.exp(np.minimum(e[w0:] + betas[w0:] - logz_rows[w0:] + s1, _EXP_CAP))
-    expected_trans = (left.T @ right) * np.exp(model.transition)
+    e = batch.h @ (batch.xv @ model.emission)  # (P, L)
+    mu, expected_trans, logz = _forward_backward(e, batch, model)
 
     # gold path score
     p_idx = np.arange(len(batch.gold))
@@ -448,7 +507,7 @@ def _batch_nll_grad(
     grad_end = mu[batch.last].sum(axis=0) - batch.end_counts
     residual = mu
     residual[p_idx, batch.gold] -= 1.0
-    grad_emission = np.asarray(batch.x.T @ residual)
+    grad_emission = batch.xv.T @ (batch.h.T @ residual)
 
     if l2:
         w = _pack(model, tmask, bmask)
@@ -472,8 +531,10 @@ def nll_and_gradient(
             raise UsageError("batch instances need gold tags")
         if len(inst) == 0:
             raise StructuralError("zero-length instance in batch")
+    x = sparse.vstack([inst.x for inst in instances], format="csr")
     batch = _Batch(
-        sparse.vstack([inst.x for inst in instances], format="csr"),
+        x,
+        sparse.identity(x.shape[1], format="csr"),
         np.concatenate([inst.gold for inst in instances]),
         np.array([len(inst) for inst in instances], dtype=np.int64),
         len(model.tags),
@@ -535,20 +596,19 @@ def train(
     if not usable:
         raise UsageError("corpus has no usable (non-empty) instances")
 
-    index, x = build_index(
-        corpus_features((inst.surfaces() for inst in usable), feature_config),
-        feature_config.min_count,
+    surfaces = [inst.surfaces() for inst in usable]
+    index, _ = build_index(
+        corpus_features(surfaces, feature_config), feature_config.min_count
     )
     model = empty_model(corpus.labels, index, feature_config)
     # a Corpus holds only tags of its declared labels, so every tag has an id
     ids = model.tag_ids
     batch = _Batch(
-        x,
+        *model.feature_ids.factors(surfaces),
         np.array([ids[t] for inst in usable for t in inst.tags], dtype=np.int64),
         np.array([len(inst.tokens) for inst in usable], dtype=np.int64),
         len(model.tags),
     )
-    del x  # the batch holds its own packed copy of the rows
     tmask, bmask = _structure_masks(model.tags)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -573,8 +633,8 @@ def train(
     if not result.converged:
         log.warning(
             "training stopped at max_epochs=%d before converging "
-            "(%d steps, %d objective evaluations)",
-            train_config.max_epochs, result.log[-1][0], result.n_evals,
+            "(%d steps, %d objective evaluations, gradient norm %.3g)",
+            train_config.max_epochs, result.log[-1][0], result.n_evals, result.grad_norm,
         )
     return _unpack(result.x, model, tmask, bmask)
 

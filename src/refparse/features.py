@@ -257,7 +257,8 @@ class FeatureIds:
         ]
         self._tokens: dict[str, tuple[list[list[int]], list[int]]] = {}
 
-    def rows(self, surfaces: Sequence[str]) -> Iterator[list[int]]:
+    def _ids(self, surfaces: Iterable[str]) -> list[tuple[list[list[int]], list[int]]]:
+        """Each surface's known ids per window offset and its affix ids."""
         cache, lookup = self._tokens, self.index.lookup_many
         tokens = []
         for s in surfaces:
@@ -268,7 +269,38 @@ class FeatureIds:
                 window, affixes = _token_names(s, self.config)
                 ids = cache[s] = ([lookup(names) for names in window], lookup(affixes))
             tokens.append(ids)
-        return _rows(tokens, *self._fixed)
+        return tokens
+
+    def rows(self, surfaces: Sequence[str]) -> Iterator[list[int]]:
+        return _rows(self._ids(surfaces), *self._fixed)
+
+    def factors(
+        self, instances: Sequence[Sequence[str]]
+    ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """The rows of every instance, stacked, as `H @ Xv`. A key is one id
+        list a row draws on: a surface (or bos/eos) at one window offset, a
+        surface's affixes, or a position bucket. `Xv` holds each key's ids,
+        and `H` picks each position's 2 * window + 3 keys."""
+        keys: list[list[int]] = []
+
+        def columns(id_lists: list[list[int]]) -> list[list[int]]:
+            """One new key per id list, as `_rows` parts."""
+            keys.extend(id_lists)
+            return [[k] for k in range(len(keys) - len(id_lists), len(keys))]
+
+        fixed = [columns(group) for group in self._fixed]
+        distinct = list(dict.fromkeys(itertools.chain.from_iterable(instances)))
+        tokens = {
+            s: (columns(window), columns([affixes])[0])
+            for s, (window, affixes) in zip(distinct, self._ids(distinct))
+        }
+        h = id_matrix(
+            itertools.chain.from_iterable(
+                _rows([tokens[s] for s in surfaces], *fixed) for surfaces in instances
+            ),
+            keys,
+        )
+        return h, id_matrix(keys, self.index)
 
 
 def id_matrix(id_lists: Iterable[Sequence[int]], features: Sized) -> sparse.csr_matrix:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .corpus import Corpus
 from .errors import StructuralError, UsageError
-from .labels import segments_from_tags, tag_field
+from .labels import _segments, segments_from_tags, tag_field
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ def field_report(gold: Corpus, pred: Sequence[Sequence[str]]) -> LevelReport:
     fp: Counter = Counter()
     fn: Counter = Counter()
     for inst, tags in zip(gold.instances, pred):
-        gold_segs = segments_from_tags(inst.tags, inst.tokens)
+        # a LabeledReference's tags were checked when it was built
+        gold_segs = _segments(inst.tags, inst.tokens)
         pred_segs = segments_from_tags(tuple(tags), inst.tokens)
         unmatched = list(gold_segs)
         for seg in pred_segs:

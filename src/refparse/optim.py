@@ -29,6 +29,7 @@ class OptResult:
     log: list[tuple[int, float]]  # (accepted step, objective value)
     converged: bool
     n_evals: int
+    grad_norm: float  # 2-norm of the gradient at x
 
 
 def _two_loop(g: np.ndarray, s_list: list, y_list: list, rho_list: list) -> np.ndarray:
@@ -114,4 +115,11 @@ def minimize(
             converged = True
             break
 
-    return OptResult(x=x, value=f, log=log, converged=converged, n_evals=n_evals)
+    return OptResult(
+        x=x,
+        value=f,
+        log=log,
+        converged=converged,
+        n_evals=n_evals,
+        grad_norm=float(np.linalg.norm(g)),
+    )

@@ -350,6 +350,33 @@ class TestNllAndGradient:
             for part in ("emission", "transition", "begin", "end"):
                 np.testing.assert_allclose(getattr(grad_o, part), getattr(grad, part))
 
+    def test_factored_training_batch_matches_public_objective(self):
+        # train's batch holds the rows factored by surface; the public
+        # objective stacks each instance's rows
+        corpus = rp.generate_corpus(
+            rp.random_records(20, seed=4), rp.style_family("A"), n=40, seed=4
+        )
+        config = FeatureConfig()
+        surfaces = [inst.surfaces() for inst in corpus.instances]
+        index, _ = build_index(corpus_features(surfaces, config))
+        m = crf.empty_model(corpus.labels, index, config)
+        tmask, bmask = crf._structure_masks(m.tags)
+        rng = np.random.default_rng(11)
+        m = crf._unpack(rng.normal(size=len(crf._pack(m, tmask, bmask))), m, tmask, bmask)
+        ids = m.tag_ids
+        batch = crf._Batch(
+            *m.feature_ids.factors(surfaces),
+            np.array([ids[t] for inst in corpus.instances for t in inst.tags]),
+            np.array([len(s) for s in surfaces]),
+            len(m.tags),
+        )
+        nll, grad = crf._batch_nll_grad(batch, m, 0.5)
+        vec = [crf.vectorize(s, m, gold_tags=inst.tags) for s, inst in zip(surfaces, corpus.instances)]
+        want_nll, want = crf.nll_and_gradient(vec, m, 0.5)
+        assert nll == pytest.approx(want_nll, rel=1e-10)
+        for part in ("emission", "transition", "begin", "end"):
+            np.testing.assert_allclose(getattr(grad, part), getattr(want, part))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         h = 1e-5
@@ -406,6 +433,31 @@ class TestNumericalRobustness:
         np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-9)
         tags = crf.viterbi(inst, m)
         assert len(tags) == length
+
+    def test_posteriors_exact_where_the_pair_factor_is_capped(self):
+        # a model drawn in +-400 whose row 1 needs exp(m + m' - logZ) beyond
+        # exp(_EXP_CAP): the only way into I-author passes B-author at 0,
+        # far below the forward max there; its posterior is still 1
+        m = crf.empty_model(("author",), FeatureIndex(("f0", "f1", "f2")), FeatureConfig())
+        m = replace(
+            m,
+            emission=np.array([
+                [-92.677, -746.246, 480.17],
+                [-74.165, -598.791, 174.691],
+                [330.865, -239.441, 156.045],
+            ]),
+            transition=np.array([
+                [-138.131, -383.072, -np.inf],
+                [-239.415, 287.893, -323.243],
+                [-96.235, 28.407, 188.146],
+            ]),
+            begin=np.array([-53.472, 228.571, -np.inf]),
+            end=np.array([-10.42, -254.668, 379.787]),
+        )
+        inst = oracles.instance([[0], [1], [2]], 3)
+        _, _, marg_e = oracles.enumerate_all(inst, m)
+        assert marg_e[1, 2] == pytest.approx(1.0)
+        np.testing.assert_allclose(crf.marginals(inst, m), marg_e, atol=1e-8)
 
     def test_large_weights_match_enumeration(self):
         # far beyond trained weight sizes; all of 100 random models at
@@ -504,7 +556,7 @@ class TestTraining:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "max_epochs=1" in warnings[0] and "(1 steps, " in warnings[0]
-        assert "objective evaluations" in warnings[0]
+        assert "objective evaluations, gradient norm " in warnings[0]
 
     def test_extracts_each_instance_once(self, monkeypatch):
         corpus = rp.generate_corpus(
@@ -568,6 +620,18 @@ class TestOptimizer:
         res = optim.minimize(f, np.zeros(6), max_iter=60, rel_tol=1e-14)
         values = [v for _, v in res.log]
         assert all(y <= x for x, y in zip(values, values[1:]))
+
+    def test_reports_final_gradient_norm(self):
+        scale = np.array([1.0, 10.0, 100.0])
+
+        def f(x):
+            return float(0.5 * x @ (scale * x)), scale * x
+
+        for max_iter, converged in ((2, False), (100, True)):
+            res = optim.minimize(f, np.full(3, 2.0), max_iter=max_iter, rel_tol=1e-12)
+            assert res.converged is converged
+            assert res.grad_norm == pytest.approx(np.linalg.norm(f(res.x)[1]), rel=1e-12)
+        assert res.grad_norm < 1e-4
 
 
 class TestModelIO:

@@ -178,12 +178,15 @@ def _mixed_surfaces():
     ]
 
 
-@pytest.mark.parametrize(
+CONFIGS = pytest.mark.parametrize(
     "config",
     [FeatureConfig(), FeatureConfig(min_count=2), FeatureConfig(window=0),
      FeatureConfig(gazetteers={})],
     ids=["default", "min_count_2", "window_0", "no_gazetteers"],
 )
+
+
+@CONFIGS
 def test_cached_rows_equal_looked_up_names(config):
     corpus = _mixed_surfaces()
     # index on the A half, so the B half holds names the index does not know
@@ -194,3 +197,17 @@ def test_cached_rows_equal_looked_up_names(config):
             index.lookup_many(names) for names in extract(surfaces, config)
         ]
 
+
+
+@CONFIGS
+def test_factors_multiply_to_the_index_rows(config):
+    # instances shorter than the window, and surfaces that recur
+    corpus = [["Smith"], ["Smith", "2001"], GOLDEN_SURFACES] + _mixed_surfaces()
+    tokens = [s for surfaces in corpus for s in surfaces]
+    assert len(set(tokens)) < len(tokens)
+    index, x = build_index(corpus_features(corpus, config), config.min_count)
+    h, xv = FeatureIds(index, config).factors(corpus)
+    assert h.shape == (len(tokens), xv.shape[0]) and xv.shape[1] == len(index)
+    assert set(h.data) == {1.0} and set(h.getnnz(axis=1)) == {2 * config.window + 3}
+    assert xv.shape[0] < len(tokens)
+    assert ((h @ xv) != x).nnz == 0

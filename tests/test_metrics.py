@@ -3,8 +3,10 @@ import csv
 import pytest
 
 import refparse as rp
+from refparse import labels
 from refparse.corpus import Corpus
 from refparse.errors import StructuralError, UsageError
+from refparse.labels import check_iob2
 from refparse.metrics import (
     EvalReport,
     FieldScore,
@@ -151,6 +153,21 @@ class TestFieldReport:
         pred = [("B-author", "O", "B-title")]  # misses the trailing comma token
         rep = field_report(gold, pred)
         assert rep.per_field["author"].f1 == 1.0
+
+    def test_only_predicted_tags_are_checked(self, monkeypatch):
+        # gold tags were checked when their LabeledReference was built
+        calls = []
+
+        def counting_check(tags):
+            calls.append(tuple(tags))
+            return check_iob2(tags)
+
+        monkeypatch.setattr(labels, "check_iob2", counting_check)
+        pred = [("O",) * len(inst.tokens) for inst in GOLD.instances]
+        evaluate(GOLD, pred)
+        assert calls == pred
+        with pytest.raises(StructuralError):
+            evaluate(GOLD, [("I-author", "O", "O", "O"), ("O", "O")])
 
 
 class TestAggregation:
