@@ -25,7 +25,7 @@ trained sizes reach, the posteriors are taken in logs and each right[j] c
 is capped at exp(_EXP_CAP), as the pair terms always were.
 
 Training keeps its feature rows factored by token surface (see
-features.FeatureIds.factors), so the emission scores and their gradient
+features.training_factors), so the emission scores and their gradient
 run over a few keys per position instead of every feature id.
 """
 
@@ -47,9 +47,7 @@ from scipy import sparse
 
 from . import optim
 from .errors import DataError, NumericError, StructuralError, UsageError
-from .features import (
-    FeatureConfig, FeatureIds, FeatureIndex, build_index, corpus_features, id_matrix
-)
+from .features import FeatureConfig, FeatureIds, FeatureIndex, id_matrix, training_factors
 from .labels import (
     OUT,
     LabeledReference,
@@ -79,12 +77,7 @@ _EXP_CAP = 600.0
 
 def tags_for_labels(labels: Sequence[str]) -> tuple[str, ...]:
     """["O", "B-f1", "I-f1", "B-f2", ...] in canonical field order."""
-    ordered = sort_fields(labels)
-    tags: list[str] = [OUT]
-    for f in ordered:
-        tags.append(make_tag("B", f))
-        tags.append(make_tag("I", f))
-    return tuple(tags)
+    return (OUT, *(make_tag(kind, f) for f in sort_fields(labels) for kind in "BI"))
 
 
 def _structure_masks(tags: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -458,7 +451,7 @@ class _Batch(_Packing):
     transition, begin and end counts. Their feature rows, stacked one
     instance after another, are `h @ xv`: `h` (P, K) picks each position's
     keys and `xv` (K, F) holds each key's feature ids. `train` passes the
-    rows factored by surface (`FeatureIds.factors`), `nll_and_gradient` the
+    rows factored by surface (`training_factors`), `nll_and_gradient` the
     rows themselves with one key per feature. `gold` holds the gold tag ids
     and `lengths` the instance lengths. The packing permutes the rows of `h`
     and `gold` only."""
@@ -596,15 +589,12 @@ def train(
     if not usable:
         raise UsageError("corpus has no usable (non-empty) instances")
 
-    surfaces = [inst.surfaces() for inst in usable]
-    index, _ = build_index(
-        corpus_features(surfaces, feature_config), feature_config.min_count
-    )
+    index, h, xv = training_factors([inst.surfaces() for inst in usable], feature_config)
     model = empty_model(corpus.labels, index, feature_config)
     # a Corpus holds only tags of its declared labels, so every tag has an id
     ids = model.tag_ids
     batch = _Batch(
-        *model.feature_ids.factors(surfaces),
+        h, xv,
         np.array([ids[t] for inst in usable for t in inst.tags], dtype=np.int64),
         np.array([len(inst.tokens) for inst in usable], dtype=np.int64),
         len(model.tags),

@@ -85,6 +85,13 @@ class ExperimentPlan:
             out_dir=data["out_dir"],
         )
 
+    def check_corpora(self) -> None:
+        """Raise UsageError naming the first corpus path that is not a file."""
+        for key in ("trains", "evals"):
+            for name, path in getattr(self, key).items():
+                if not Path(path).is_file():
+                    raise UsageError(f"plan {key}[{name!r}]: no corpus file at {path}")
+
     def to_dict(self) -> dict:
         return {
             "trains": dict(self.trains),
@@ -129,8 +136,8 @@ def _write_manifest(
         "train_config": train_config.to_dict(),
         "feature_config": feature_config.to_dict(),
         "corpus_digests": {
-            name: _file_digest(path)
-            for name, path in sorted({**plan.trains, **plan.evals}.items())
+            key: {name: _file_digest(path) for name, path in sorted(corpora.items())}
+            for key, corpora in (("trains", plan.trains), ("evals", plan.evals))
         },
         "partial": bool(failures),
         "failures": failures,
@@ -239,6 +246,7 @@ def cross_matrix(
     """Train one model per train corpus, evaluate on every eval corpus."""
     if not plan.trains or not plan.evals:
         raise UsageError("cross_matrix needs at least one train and one eval corpus")
+    plan.check_corpora()
     arms = [
         (name, name, functools.partial(read_corpus, path, name=name))
         for name, path in plan.trains.items()
@@ -277,6 +285,7 @@ def size_curve(
         raise UsageError("size_curve needs a non-empty sizes list")
     if not plan.evals:
         raise UsageError("size_curve needs at least one eval corpus")
+    plan.check_corpora()
     (train_name, train_path), = plan.trains.items()
     subsets = nested_subsets(read_corpus(train_path, name=train_name), plan.sizes, plan.seed)
     arms = [
@@ -303,6 +312,7 @@ def field_ablation(
         raise UsageError("field_ablation needs keep_labels (the shared fields)")
     if not plan.evals:
         raise UsageError("field_ablation needs at least one eval corpus")
+    plan.check_corpora()
     (train_name, train_path), = plan.trains.items()
     full_corpus = read_corpus(train_path, name=train_name)
     keep = sort_fields(plan.keep_labels)

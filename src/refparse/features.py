@@ -4,8 +4,8 @@ Every template emits a readable string name like "w[-1]=vol" or "shape[0]=d";
 names carry their template id and offset so they never collide across
 templates. The mapping from names to dense ids (FeatureIndex) is frozen at
 training time and serialized with the model, so unknown names at inference
-simply score zero. FeatureIds builds the same rows as ids directly, from a
-cache of each distinct token surface's ids.
+simply score zero. Training names each distinct token surface once; at
+inference FeatureIds builds the rows as ids, from a cache of surface ids.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
@@ -241,13 +242,13 @@ _SURFACE_CACHE_SIZE = 1 << 14
 
 
 class FeatureIds:
-    """The id path of `extract`: `rows(surfaces)` equals
+    """The inference path of `extract`: `rows(surfaces)` equals
     `map(index.lookup_many, extract(surfaces, config))`, id for id.
 
     Each distinct surface's known ids per window offset and its affix ids
-    are looked up once and cached, so a row is assembled from cached ids
-    (CRFsuite's split of token attributes from the features they fire).
-    """
+    are looked up once and cached across calls, so a row is assembled from
+    cached ids (CRFsuite's split of token attributes from the features they
+    fire). Training builds its rows with `training_factors` instead."""
 
     def __init__(self, index: FeatureIndex, config: FeatureConfig):
         self.index = index
@@ -257,8 +258,7 @@ class FeatureIds:
         ]
         self._tokens: dict[str, tuple[list[list[int]], list[int]]] = {}
 
-    def _ids(self, surfaces: Iterable[str]) -> list[tuple[list[list[int]], list[int]]]:
-        """Each surface's known ids per window offset and its affix ids."""
+    def rows(self, surfaces: Sequence[str]) -> Iterator[list[int]]:
         cache, lookup = self._tokens, self.index.lookup_many
         tokens = []
         for s in surfaces:
@@ -269,44 +269,12 @@ class FeatureIds:
                 window, affixes = _token_names(s, self.config)
                 ids = cache[s] = ([lookup(names) for names in window], lookup(affixes))
             tokens.append(ids)
-        return tokens
-
-    def rows(self, surfaces: Sequence[str]) -> Iterator[list[int]]:
-        return _rows(self._ids(surfaces), *self._fixed)
-
-    def factors(
-        self, instances: Sequence[Sequence[str]]
-    ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """The rows of every instance, stacked, as `H @ Xv`. A key is one id
-        list a row draws on: a surface (or bos/eos) at one window offset, a
-        surface's affixes, or a position bucket. `Xv` holds each key's ids,
-        and `H` picks each position's 2 * window + 3 keys."""
-        keys: list[list[int]] = []
-
-        def columns(id_lists: list[list[int]]) -> list[list[int]]:
-            """One new key per id list, as `_rows` parts."""
-            keys.extend(id_lists)
-            return [[k] for k in range(len(keys) - len(id_lists), len(keys))]
-
-        fixed = [columns(group) for group in self._fixed]
-        distinct = list(dict.fromkeys(itertools.chain.from_iterable(instances)))
-        tokens = {
-            s: (columns(window), columns([affixes])[0])
-            for s, (window, affixes) in zip(distinct, self._ids(distinct))
-        }
-        h = id_matrix(
-            itertools.chain.from_iterable(
-                _rows([tokens[s] for s in surfaces], *fixed) for surfaces in instances
-            ),
-            keys,
-        )
-        return h, id_matrix(keys, self.index)
+        return _rows(tokens, *self._fixed)
 
 
 def id_matrix(id_lists: Iterable[Sequence[int]], features: Sized) -> sparse.csr_matrix:
     """CSR matrix with one row per id list and `len(features)` columns,
-    holding 1 at each id of a row, in the row's order. `features` is
-    measured after `id_lists` is used up, so the lists may still grow it."""
+    holding 1 at each id of a row, in the row's order."""
     indices = array("q")
     indptr = array("q", [0])
     for ids in id_lists:
@@ -319,23 +287,54 @@ def id_matrix(id_lists: Iterable[Sequence[int]], features: Sized) -> sparse.csr_
     )
 
 
-def build_index(
-    feature_lists: Iterable[Sequence[str]], min_count: int = 1
-) -> tuple[FeatureIndex, sparse.csr_matrix]:
-    """Index every name occurring >= min_count times in one pass, with ids in
-    first-occurrence order (equal corpora give byte-identical indices), and
-    return it with the input's rows as one CSR matrix over it."""
+def build_index(feature_lists: Iterable[Sequence[str]], min_count: int = 1) -> FeatureIndex:
+    """Index every name occurring >= min_count times, with ids in
+    first-occurrence order (equal corpora give byte-identical indices).
+    Training builds the same index from its keys (`training_factors`)."""
     if min_count < 1:
         raise UsageError(f"min_count must be >= 1, got {min_count}")
-    ids: dict[str, int] = {}
-    x = id_matrix(
-        ([ids.setdefault(name, len(ids)) for name in feats] for feats in feature_lists), ids
+    counts = Counter(itertools.chain.from_iterable(feature_lists))
+    if not counts:
+        raise UsageError("cannot build a feature index from a corpus without features")
+    return FeatureIndex(names=tuple(n for n, c in counts.items() if c >= min_count))
+
+
+def training_factors(
+    instances: Sequence[Sequence[str]], config: FeatureConfig
+) -> tuple[FeatureIndex, sparse.csr_matrix, sparse.csr_matrix]:
+    """The feature index of a training corpus, and its rows stacked as
+    `H @ Xv`. A key is one name list a row draws on: a surface (or bos/eos)
+    at one window offset, a surface's affixes, or a position bucket. `H`
+    picks each position's 2 * window + 3 keys and `Xv` holds each key's ids.
+    A name occurs as often as the keys holding it, and the keys in the order
+    the rows first use them hold the names in the order the rows do, so the
+    index is `build_index(corpus_features(instances, config), min_count)`."""
+    keys: list[list[str]] = []
+
+    def columns(name_lists: list[list[str]]) -> list[list[int]]:
+        """One new key per name list, as `_rows` parts."""
+        keys.extend(name_lists)
+        return [[k] for k in range(len(keys) - len(name_lists), len(keys))]
+
+    fixed = [columns(group) for group in _fixed_names(config)]
+    tokens = {}
+    for s in dict.fromkeys(itertools.chain.from_iterable(instances)):
+        window, affixes = _token_names(s, config)
+        tokens[s] = (columns(window), columns([affixes])[0])
+    h = id_matrix(
+        itertools.chain.from_iterable(
+            _rows([tokens[s] for s in surfaces], *fixed) for surfaces in instances
+        ),
+        keys,
     )
-    if x.shape[0] == 0:
-        raise UsageError("cannot build a feature index from an empty corpus")
-    keep = np.bincount(x.indices, minlength=len(ids)) >= min_count
-    index = FeatureIndex(names=tuple(itertools.compress(ids, keep)))
-    return index, x if keep.all() else x[:, keep]
+    used, first, uses = np.unique(h.indices, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    counts: Counter[str] = Counter()
+    for k, n in zip(used[order].tolist(), uses[order].tolist()):
+        for name in keys[k]:
+            counts[name] += n
+    index = FeatureIndex(tuple(n for n, c in counts.items() if c >= config.min_count))
+    return index, h, id_matrix(map(index.lookup_many, keys), index)
 
 
 def corpus_features(

@@ -314,6 +314,28 @@ def test_bad_input_exits_with_documented_code(case, tmp_path, capsys):
     assert not (tmp_path / "out.gz").exists()
 
 
+def test_plan_naming_a_missing_corpus_writes_nothing(tmp_path, capsys):
+    corpus = tmp_path / "c.xml"
+    corpus.write_bytes(GOOD_CORPUS * 4)
+    out_dir = tmp_path / "out"
+    for key in ("trains", "evals"):
+        plan = {
+            "trains": {"a": str(corpus)},
+            "evals": {"a": str(corpus)},
+            "sizes": [2],
+            "keep_labels": ["author"],
+            "out_dir": str(out_dir),
+        }
+        plan[key]["a"] = str(tmp_path / "gone.xml")
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        for command in ("matrix", "curve", "ablation"):
+            assert run([command, str(plan_path)]) == 1
+            err = capsys.readouterr().err
+            assert f"{key}['a']" in err and "gone.xml" in err and "Traceback" not in err
+            assert not out_dir.exists()
+
+
 def test_v1_model_file_still_loads(tmp_path):
     """v1_model.gz is a refparse-model-v1 file written by an earlier refparse,
     whose tokenizer and affix/shape templates were still options:

@@ -15,6 +15,7 @@ from refparse.features import (
     build_index,
     corpus_features,
     extract,
+    training_factors,
 )
 
 import oracles
@@ -64,7 +65,7 @@ class TestStructure:
 class TestVectorize:
     def test_rows_hold_extracted_ids(self):
         cfg = FeatureConfig(window=1)
-        index, _ = build_index(corpus_features([["Proceedings", "of", "2015"]], cfg))
+        index = build_index(corpus_features([["Proceedings", "of", "2015"]], cfg))
         m = crf.empty_model(["author"], index, cfg)
         surfaces = ["Proceedings", "vol", "2015", "."]
         x = crf.vectorize(surfaces, m).x
@@ -74,20 +75,19 @@ class TestVectorize:
             assert row.tolist() == index.lookup_many(feats)
         np.testing.assert_array_equal(x.data, 1.0)
 
-        # training rows (from build_index) and inference rows (from
-        # vectorize) follow one id rule, also when min_count drops names
+        # training rows (h @ xv) and inference rows (from vectorize) follow
+        # one id rule, also when min_count drops names
         corpus = [["Proceedings", "of", "2015"], ["Proc", "of", "the", "2015", "."]]
         sizes = []
         for min_count in (1, 2):
             cfg = FeatureConfig(window=1, min_count=min_count)
-            index, train_x = build_index(corpus_features(corpus, cfg), min_count)
+            index, h, xv = training_factors(corpus, cfg)
             sizes.append(len(index))
             m = crf.empty_model(["author"], index, cfg)
+            train_x = h @ xv
             infer_x = sparse.vstack([crf.vectorize(s, m).x for s in corpus], format="csr")
             assert train_x.shape == infer_x.shape
-            np.testing.assert_array_equal(train_x.indptr, infer_x.indptr)
-            np.testing.assert_array_equal(train_x.indices, infer_x.indices)
-            np.testing.assert_array_equal(train_x.data, infer_x.data)
+            assert (train_x != infer_x).nnz == 0
         assert sizes[1] < sizes[0]
 
 
@@ -358,14 +358,15 @@ class TestNllAndGradient:
         )
         config = FeatureConfig()
         surfaces = [inst.surfaces() for inst in corpus.instances]
-        index, _ = build_index(corpus_features(surfaces, config))
+        index, h, xv = training_factors(surfaces, config)
         m = crf.empty_model(corpus.labels, index, config)
         tmask, bmask = crf._structure_masks(m.tags)
         rng = np.random.default_rng(11)
         m = crf._unpack(rng.normal(size=len(crf._pack(m, tmask, bmask))), m, tmask, bmask)
         ids = m.tag_ids
         batch = crf._Batch(
-            *m.feature_ids.factors(surfaces),
+            h,
+            xv,
             np.array([ids[t] for inst in corpus.instances for t in inst.tags]),
             np.array([len(s) for s in surfaces]),
             len(m.tags),
@@ -558,23 +559,29 @@ class TestTraining:
         assert "max_epochs=1" in warnings[0] and "(1 steps, " in warnings[0]
         assert "objective evaluations, gradient norm " in warnings[0]
 
-    def test_extracts_each_instance_once(self, monkeypatch):
+    def test_names_each_distinct_surface_once(self, monkeypatch):
         corpus = rp.generate_corpus(
             rp.random_records(5, seed=2), rp.style_family("A")[:2], n=8, seed=2
         )
         calls = []
+        token_names = features._token_names
 
-        def counting_extract(surfaces, config):
-            calls.append(tuple(surfaces))
-            return extract(surfaces, config)
+        def counting_token_names(surface, config):
+            calls.append(surface)
+            return token_names(surface, config)
 
-        def no_vectorize(*args, **kwargs):
-            raise AssertionError("train must not call vectorize")
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"train must not call {name}")
+            return call
 
-        monkeypatch.setattr(features, "extract", counting_extract)
-        monkeypatch.setattr(crf, "vectorize", no_vectorize)
+        monkeypatch.setattr(features, "_token_names", counting_token_names)
+        monkeypatch.setattr(features, "extract", forbidden("extract"))
+        monkeypatch.setattr(crf, "vectorize", forbidden("vectorize"))
         crf.train(corpus, FeatureConfig(), crf.TrainConfig(max_epochs=2))
-        assert calls == [inst.surfaces() for inst in corpus.instances]
+        surfaces = [s for inst in corpus.instances for s in inst.surfaces()]
+        assert len(set(surfaces)) < len(surfaces)
+        assert calls == list(dict.fromkeys(surfaces))
 
     def test_empty_corpus_rejected(self):
         empty = Corpus(name="e", labels=("author",), instances=())

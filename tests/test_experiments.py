@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,27 @@ class TestCrossMatrix:
         assert (tmp_path / "m" / "matrix.csv").exists()
         assert (tmp_path / "m" / "fields_a__a.csv").exists()
         assert (tmp_path / "m" / "manifest.json").exists()
+
+    def test_manifest_keeps_both_digests_of_a_shared_name(self, tiny_corpora, tmp_path):
+        root, paths = tiny_corpora
+        plan = ExperimentPlan(
+            trains={"a": paths["train_a"]},
+            evals={"a": paths["eval_a"]},
+            sizes=(),
+            keep_labels=(),
+            seed=0,
+            out_dir=str(tmp_path / "d"),
+        )
+        cross_matrix(plan, FAST, FeatureConfig())
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        digest = {
+            name: hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
+            for name in ("train_a", "eval_a")
+        }
+        assert manifest["corpus_digests"] == {
+            "trains": {"a": digest["train_a"]},
+            "evals": {"a": digest["eval_a"]},
+        }
 
     def test_rerun_is_byte_identical(self, tiny_corpora, tmp_path):
         root, paths = tiny_corpora

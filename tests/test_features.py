@@ -9,6 +9,8 @@ from refparse.features import (
     build_index,
     corpus_features,
     extract,
+    id_matrix,
+    training_factors,
     word_shape,
 )
 
@@ -65,8 +67,8 @@ def test_position_buckets():
 def test_index_respects_min_count():
     cfg = FeatureConfig(gazetteers={}, window=0)
     lists = list(corpus_features([["a", "a"], ["a"]], cfg))
-    idx1, _ = build_index(lists, min_count=1)
-    idx2, _ = build_index(lists, min_count=2)
+    idx1 = build_index(lists, min_count=1)
+    idx2 = build_index(lists, min_count=2)
     assert len(idx2) < len(idx1)
     # singletons dropped: 'posbucket=last' occurs once (two-token instance)
     assert idx1.lookup("posbucket=last") is not None
@@ -74,7 +76,7 @@ def test_index_respects_min_count():
 
 
 def test_index_frozen_returns_absent():
-    idx, _ = build_index([["x", "y"]], min_count=1)
+    idx = build_index([["x", "y"]], min_count=1)
     assert idx.lookup("nope") is None
     assert idx.lookup_many(["x", "nope", "y"]) == [idx.lookup("x"), idx.lookup("y")]
 
@@ -82,8 +84,8 @@ def test_index_frozen_returns_absent():
 def test_index_deterministic_across_runs():
     cfg = FeatureConfig(window=1)
     corpus = [["Proceedings", "of", "2015"], ["vol", ".", "44"]]
-    a, _ = build_index(corpus_features(corpus, cfg), 1)
-    b, _ = build_index(corpus_features(corpus, cfg), 1)
+    a = build_index(corpus_features(corpus, cfg), 1)
+    b = build_index(corpus_features(corpus, cfg), 1)
     assert a.names == b.names
 
 
@@ -190,7 +192,7 @@ CONFIGS = pytest.mark.parametrize(
 def test_cached_rows_equal_looked_up_names(config):
     corpus = _mixed_surfaces()
     # index on the A half, so the B half holds names the index does not know
-    index, _ = build_index(corpus_features(corpus[:40], config), config.min_count)
+    index = build_index(corpus_features(corpus[:40], config), config.min_count)
     ids = FeatureIds(index, config)
     for surfaces in [GOLDEN_SURFACES] + corpus + corpus[::-1]:  # twice: the cache warm
         assert list(ids.rows(surfaces)) == [
@@ -205,9 +207,11 @@ def test_factors_multiply_to_the_index_rows(config):
     corpus = [["Smith"], ["Smith", "2001"], GOLDEN_SURFACES] + _mixed_surfaces()
     tokens = [s for surfaces in corpus for s in surfaces]
     assert len(set(tokens)) < len(tokens)
-    index, x = build_index(corpus_features(corpus, config), config.min_count)
-    h, xv = FeatureIds(index, config).factors(corpus)
+    index, h, xv = training_factors(corpus, config)
+    want = build_index(corpus_features(corpus, config), config.min_count)
+    assert index.names == want.names
     assert h.shape == (len(tokens), xv.shape[0]) and xv.shape[1] == len(index)
     assert set(h.data) == {1.0} and set(h.getnnz(axis=1)) == {2 * config.window + 3}
     assert xv.shape[0] < len(tokens)
-    assert ((h @ xv) != x).nnz == 0
+    rows = id_matrix(map(index.lookup_many, corpus_features(corpus, config)), index)
+    assert ((h @ xv) != rows).nnz == 0
