@@ -229,7 +229,7 @@ def parse(model_path, in_path, out_path, out_format):
                 for token, tag in zip(inst.tokens, inst.tags):
                     out_lines.append(f"{token.surface}\t{tag}")
                 out_lines.append("")
-    text = "\n".join(out_lines) + "\n"
+    text = "".join(line + "\n" for line in out_lines)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:

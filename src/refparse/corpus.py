@@ -10,9 +10,9 @@ Two interchange formats:
 * CoNLL TSV: ``surface<TAB>tag`` per token, blank line between references,
   same optional ``#labels:`` header.
 
-Seeded shuffles use numpy's PCG64 generator (Generator.permutation /
-Generator.choice), so splits and samples are reproducible bit-for-bit across
-runs and platforms for a given seed.
+Seeded shuffles use numpy's PCG64 generator (`seeded_rng`, shared with record
+synthesis, generation and experiments), so splits and samples are
+reproducible bit-for-bit across runs and platforms for a given seed >= 0.
 """
 
 from __future__ import annotations
@@ -274,6 +274,13 @@ def write_corpus(corpus: Corpus, path) -> None:
 # splits, filtering, sampling
 # ---------------------------------------------------------------------------
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator for an integer seed >= 0."""
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def split(corpus: Corpus, ratio: float, seed: int) -> tuple[Corpus, Corpus]:
     """Seeded shuffle then prefix split; |train| = floor(ratio * N)."""
     if not 0.0 < ratio < 1.0:
@@ -281,7 +288,7 @@ def split(corpus: Corpus, ratio: float, seed: int) -> tuple[Corpus, Corpus]:
     n = len(corpus)
     if n == 0:
         raise UsageError("cannot split an empty corpus")
-    order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    order = seeded_rng(seed).permutation(n)
     # absorb float representation error toward the mathematical floor
     n_train = int(math.floor(ratio * n + 1e-9))
     train_idx, eval_idx = order[:n_train], order[n_train:]
@@ -315,9 +322,7 @@ def sample(corpus: Corpus, n: int, seed: int) -> Corpus:
     """Seeded uniform sample without replacement, order-stable given seed."""
     if not 1 <= n <= len(corpus):
         raise UsageError(f"sample size {n} not in [1, {len(corpus)}]")
-    idx = np.random.Generator(np.random.PCG64(seed)).choice(
-        len(corpus), size=n, replace=False
-    )
+    idx = seeded_rng(seed).choice(len(corpus), size=n, replace=False)
     return replace(
         corpus,
         name=f"{corpus.name}/sample{n}",

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import __version__
-from .corpus import Corpus, filter_fields, filter_tags_sequence, read_corpus
+from .corpus import Corpus, filter_fields, filter_tags_sequence, read_corpus, seeded_rng
 from .crf import CrfModel, TrainConfig, predict_tags, train
 from .errors import DataError, RefparseError, UsageError
 from .features import FeatureConfig
@@ -58,6 +56,8 @@ class ExperimentPlan:
             raise UsageError("plan sizes must be sorted ascending")
         if any(size < 1 for size in self.sizes):
             raise UsageError(f"plan sizes must be >= 1, got {list(self.sizes)}")
+        if self.seed < 0:
+            raise UsageError(f"plan seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":
@@ -262,7 +262,7 @@ def nested_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> list[Corp
         raise UsageError("need at least one subset size")
     if max(sizes) > len(corpus):
         raise UsageError(f"largest size {max(sizes)} exceeds corpus size {len(corpus)}")
-    order = np.random.Generator(np.random.PCG64(seed)).permutation(len(corpus))
+    order = seeded_rng(seed).permutation(len(corpus))
     return [
         Corpus(
             name=f"{corpus.name}[:{size}]",

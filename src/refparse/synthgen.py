@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, observed_labels
+from .corpus import Corpus, observed_labels, seeded_rng
 from .errors import DataError, TemplateError, UsageError
 from .labels import LabeledReference
 from .tokenizer import tags_from_spans, tokenize
@@ -76,13 +76,30 @@ def record_to_dict(record: BibRecord) -> dict:
     return {k: v for k, v in asdict(record).items() if v is not None}
 
 
+# record keys whose values are text: JSON strings, or null where optional
+_TEXT_KEYS = ("title", "container", "container_kind")
+_OPTIONAL_TEXT_KEYS = (
+    "volume", "issue", "publisher", "editors", "location", "institution", "note", "url"
+)
+
+
+def _check_text(key: str, value) -> None:
+    if not isinstance(value, str):
+        raise DataError(f"record {key!r} must be a JSON string, got {json.dumps(value)}")
+
+
 def record_from_dict(data: dict) -> BibRecord:
+    """A record from its JSON object; a non-string text value is a DataError."""
+    for key, value in data.items():
+        if key in _TEXT_KEYS or (key in _OPTIONAL_TEXT_KEYS and value is not None):
+            _check_text(key, value)
     authors = []
     for a in data.get("authors", []):
         if isinstance(a, dict):
-            authors.append((a.get("given", ""), a.get("family", "")))
-        else:
-            authors.append((a[0], a[1]))
+            a = (a.get("given", ""), a.get("family", ""))
+        authors.append((a[0], a[1]))
+        for name in authors[-1]:
+            _check_text("authors", name)
     pages = data.get("pages")
     return BibRecord(
         authors=tuple(authors),
@@ -110,6 +127,8 @@ def read_records(path) -> list[BibRecord]:
             try:
                 if line.strip():
                     records.append(record_from_dict(json.loads(line)))
+            except DataError as exc:
+                raise DataError(f"bad record: {exc}", lineno) from None
             except (AttributeError, LookupError, TypeError, ValueError) as exc:
                 raise DataError(f"bad record: {type(exc).__name__}: {exc}", lineno) from None
     return records
@@ -492,7 +511,7 @@ def generate_corpus(
             f"{n} instances requested but only {product} distinct "
             f"(record, template) pairs exist"
         )
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     chosen = rng.choice(product, size=n, replace=False)
     instances = []
     for pair in chosen:
@@ -612,7 +631,7 @@ def random_records(n: int, seed: int) -> list[BibRecord]:
     """
     if n < 1:
         raise UsageError(f"record count must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
 
     def pick(pool: Sequence[str]) -> str:
         return pool[int(rng.integers(len(pool)))]

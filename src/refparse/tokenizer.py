@@ -8,6 +8,7 @@ string (whitespace included via the gaps).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .errors import StructuralError
@@ -47,36 +48,30 @@ def tags_from_spans(
 ) -> tuple[str, ...]:
     """Convert (field, char_start, char_end) spans to per-token IOB2 tags.
 
-    A token belongs to a span iff at least half of its characters lie inside
-    it (exact halves count as inside). Each covered run of consecutive tokens
-    opens with B; uncovered tokens are O.
+    A token belongs to the first span, in start order, that holds at least
+    half of its characters; a token split evenly between two spans goes to
+    the earlier one. Each span's tokens open with B; uncovered tokens are O.
+    Tokens must be non-empty, ordered and non-overlapping, as `tokenize`
+    returns them.
     """
     ordered = sorted(spans, key=lambda s: (s[1], s[2]))
     for (_, _, prev_end), (field, start, end) in zip(ordered, ordered[1:]):
         if start < prev_end:
             raise StructuralError(f"overlapping span ({field}, {start}, {end})")
+    starts = [tok.start for tok in tokens]
+    ends = [tok.end for tok in tokens]
+    if any(s >= e for s, e in zip(starts, ends)) or any(
+        s < e for s, e in zip(starts[1:], ends)
+    ):
+        raise StructuralError("tokens must be non-empty, ordered and non-overlapping")
 
-    assigned: list[int] = []  # span index per token, -1 for none
-    for tok in tokens:
-        width = tok.end - tok.start
-        best, best_overlap = -1, 0
-        for si, (_, s, e) in enumerate(ordered):
-            overlap = min(tok.end, e) - max(tok.start, s)
-            if overlap > best_overlap:
-                best, best_overlap = si, overlap
-        if best >= 0 and 2 * best_overlap >= width and width > 0:
-            assigned.append(best)
-        else:
-            assigned.append(-1)
-
-    tags: list[str] = []
-    prev_span = -1
-    for si in assigned:
-        if si < 0:
-            tags.append(OUT)
-        elif si == prev_span:
-            tags.append(make_tag("I", ordered[si][0]))
-        else:
-            tags.append(make_tag("B", ordered[si][0]))
-        prev_span = si
+    tags = [OUT] * len(tokens)
+    for field, start, end in ordered:
+        kind = "B"
+        # the tokens that end after the span starts and start before it ends
+        for i in range(bisect_right(ends, start), bisect_left(starts, end)):
+            held = min(ends[i], end) - max(starts[i], start)
+            if tags[i] == OUT and 2 * held >= ends[i] - starts[i]:
+                tags[i] = make_tag(kind, field)
+                kind = "I"
     return tuple(tags)

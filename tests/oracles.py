@@ -1,20 +1,23 @@
 """Independent oracles shared by the CRF tests and the acceptance suite.
 
 Everything here recomputes quantities by brute force (exhaustive path
-enumeration, direct summation) so the tests never trust the code path they
-check. Enumeration is vectorized over the full path table to keep hundreds
+enumeration, direct summation, a token-by-span scan) so the tests never
+trust the code path they check. Enumeration is vectorized over the full path table to keep hundreds
 of oracle comparisons fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from refparse import crf
+from refparse.errors import StructuralError
 from refparse.features import FeatureConfig, FeatureIndex
+from refparse.labels import OUT, Token, make_tag
 
 FIELDS = ("author", "title", "date")
 
@@ -147,3 +150,43 @@ def enumerate_all(inst, model):
     for t in range(length):
         marginal[t] = np.bincount(paths[:, t], weights=weights, minlength=n_tags)
     return logz, best, marginal
+
+
+def tags_from_spans(
+    tokens: Sequence[Token], spans: Sequence[tuple[str, int, int]]
+) -> tuple[str, ...]:
+    """Convert (field, char_start, char_end) spans to per-token IOB2 tags.
+
+    A token belongs to a span iff at least half of its characters lie inside
+    it (exact halves count as inside). Each covered run of consecutive tokens
+    opens with B; uncovered tokens are O.
+    """
+    ordered = sorted(spans, key=lambda s: (s[1], s[2]))
+    for (_, _, prev_end), (field, start, end) in zip(ordered, ordered[1:]):
+        if start < prev_end:
+            raise StructuralError(f"overlapping span ({field}, {start}, {end})")
+
+    assigned: list[int] = []  # span index per token, -1 for none
+    for tok in tokens:
+        width = tok.end - tok.start
+        best, best_overlap = -1, 0
+        for si, (_, s, e) in enumerate(ordered):
+            overlap = min(tok.end, e) - max(tok.start, s)
+            if overlap > best_overlap:
+                best, best_overlap = si, overlap
+        if best >= 0 and 2 * best_overlap >= width and width > 0:
+            assigned.append(best)
+        else:
+            assigned.append(-1)
+
+    tags: list[str] = []
+    prev_span = -1
+    for si in assigned:
+        if si < 0:
+            tags.append(OUT)
+        elif si == prev_span:
+            tags.append(make_tag("I", ordered[si][0]))
+        else:
+            tags.append(make_tag("B", ordered[si][0]))
+        prev_span = si
+    return tuple(tags)

@@ -261,6 +261,47 @@ BAD_CLI_INPUTS = {
         ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--out", "{d}/c.xml"],
         2, "line 1",
     ),
+    **{
+        f"records_{key}_not_string": (
+            {"r.jsonl": b'{"authors": [%s], "title": %s, "container": %s, "year": 2001}\n'
+             % values},
+            ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--out", "{d}/c.xml"],
+            2, f"line 1: bad record: record '{key}'",
+        )
+        for key, values in (
+            ("title", (b'["A", "B"]', b"5", b'"C"')),
+            ("container", (b'["A", "B"]', b'"T"', b"5")),
+            ("authors", (b'[5, "B"]', b'"T"', b'"C"')),
+        )
+    },
+    "records_negative_seed": (
+        {}, ["records", "--n", "2", "--seed", "-1", "--out", "{d}/r.jsonl"], 1, "seed",
+    ),
+    "generate_negative_seed": (
+        {"r.jsonl": b'{"title": "T", "year": 2001}\n'},
+        ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--seed", "-2",
+         "--out", "{d}/c.xml"],
+        1, "seed",
+    ),
+    "split_negative_seed": (
+        {"c.xml": GOOD_CORPUS * 4},
+        ["split", "{d}/c.xml", "--ratio", "0.5", "--seed", "-3",
+         "--train-out", "{d}/tr.xml", "--eval-out", "{d}/ev.xml"],
+        1, "seed",
+    ),
+    "sample_negative_seed": (
+        {"c.xml": GOOD_CORPUS * 4},
+        ["sample", "{d}/c.xml", "{d}/s.xml", "--n", "2", "--seed", "-3"], 1, "seed",
+    ),
+    # a plan that is valid but for its seed; its out_dir is never created
+    "plan_negative_seed": (
+        {"plan.json": json.dumps({
+            "trains": {"a": str(DATA_DIR / "v1_parse.xml")},
+            "evals": {"a": str(DATA_DIR / "v1_parse.xml")},
+            "sizes": [1], "seed": -1, "out_dir": "never-written",
+        }).encode()},
+        ["curve", "{d}/plan.json"], 1, "seed",
+    ),
     "split_into_missing_dir": (
         {"c.xml": GOOD_CORPUS * 4},
         ["split", "{d}/c.xml", "--ratio", "0.5", "--train-out", "{d}/no/tr.xml",
@@ -391,6 +432,22 @@ def test_parse_checks_each_line_iob2_once(tmp_path, small_model_and_eval, monkey
     assert run(["parse", "--model", str(model_path), "--in", str(refs),
                 "--out", str(tmp_path / "parsed.xml")]) == 0
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("out_format", ["inline", "conll"])
+def test_parse_without_reference_lines_writes_nothing(
+    out_format, to_file, text, tmp_path, capsys
+):
+    model_path = tmp_path / "m.gz"
+    save_model(empty_model(["author"], FeatureIndex(names=("f0",)), FeatureConfig()), model_path)
+    refs, out = tmp_path / "refs.txt", tmp_path / "parsed.txt"
+    refs.write_text(text, encoding="utf-8")
+    argv = ["parse", "--model", str(model_path), "--in", str(refs), "--format", out_format]
+    assert run(argv + (["--out", str(out)] if to_file else [])) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"" if to_file else not out.exists()
 
 
 def test_parse_figure_string_end_to_end(tmp_path, small_model_and_eval, capsys):

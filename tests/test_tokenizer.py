@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from refparse.errors import StructuralError
 from refparse.labels import Token, check_iob2
 from refparse.tokenizer import tags_from_spans, tokenize
@@ -86,3 +87,63 @@ def test_gap_inside_span_restarts_run():
     tags = tags_from_spans(tokens, [("title", 0, 3)])
     assert tags == ("B-title", "O", "O")
     check_iob2(tags)
+
+
+def test_token_split_evenly_goes_to_the_earlier_span():
+    tokens = (Token("ab", 0, 2),)
+    assert tags_from_spans(tokens, [("title", 0, 1), ("date", 1, 2)]) == ("B-title",)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        (Token("b", 2, 3), Token("a", 0, 1)),  # out of order
+        (Token("ab", 0, 2), Token("bc", 1, 3)),  # overlapping
+        (Token("", 1, 1),),  # empty
+    ],
+    ids=["out_of_order", "overlapping", "empty"],
+)
+def test_tokens_must_be_ordered_non_overlapping_and_non_empty(tokens):
+    with pytest.raises(StructuralError):
+        tags_from_spans(tokens, [("title", 0, 3)])
+
+
+FIELD = st.sampled_from(["author", "title", "date"])
+
+
+@st.composite
+def tokens_and_spans(draw):
+    """Ordered, non-empty tokens (adjacent or spaced) and an unsorted span
+    list: some of the disjoint spans between arbitrary cut points, so some
+    are zero-width, some cover part of a token and some split a token evenly
+    with their neighbour, plus at most one free span that may overlap them."""
+    tokens, pos = [], 0
+    for gap, width in draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=8)
+    ):
+        pos += gap
+        tokens.append(Token("x" * width, pos, pos + width))
+        pos += width
+    cuts = sorted(draw(st.lists(st.integers(0, pos + 1), max_size=10)))
+    spans = [(draw(FIELD), s, e) for s, e in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    for field, start, width in draw(
+        st.lists(st.tuples(FIELD, st.integers(0, pos), st.integers(0, 4)), max_size=1)
+    ):
+        spans.append((field, start, start + width))
+    return tuple(tokens), draw(st.permutations(spans))
+
+
+def _outcome(fn, tokens, spans):
+    try:
+        return fn(tokens, spans)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(tokens_and_spans())
+def test_tags_from_spans_matches_quadratic_oracle(case):
+    tokens, spans = case
+    assert _outcome(tags_from_spans, tokens, spans) == _outcome(
+        oracles.tags_from_spans, tokens, spans
+    )
