@@ -2,10 +2,11 @@
 curve, and field-set ablation. Each one checks its plan, lists its training
 arms, and hands them to one shared cell loop (`_run_cells`).
 
-Every experiment is a pure function of (plan, configs): corpora are read
-from the plan's paths, models share one TrainConfig, and all outputs (CSV
-tables plus a manifest) are written with fixed float formatting and no
-timestamps, so a rerun with the same inputs is byte-identical.
+Every experiment is a pure function of (plan, train config): corpora are
+read from the plan's paths, models share one TrainConfig and the default
+FeatureConfig, and all outputs (CSV tables plus a manifest) are written with
+fixed float formatting and no timestamps, so a rerun with the same inputs is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ def _file_digest(path) -> str:
 def _write_manifest(
     plan: ExperimentPlan,
     train_config: TrainConfig,
-    feature_config: FeatureConfig,
     kind: str,
     failures: list[dict],
     out_dir: Path,
@@ -134,7 +134,7 @@ def _write_manifest(
         "tool_version": __version__,
         "plan": plan.to_dict(),
         "train_config": train_config.to_dict(),
-        "feature_config": feature_config.to_dict(),
+        "feature_config": FeatureConfig().to_dict(),
         "corpus_digests": {
             key: {name: _file_digest(path) for name, path in sorted(corpora.items())}
             for key, corpora in (("trains", plan.trains), ("evals", plan.evals))
@@ -190,7 +190,6 @@ def _run_cells(
     plan: ExperimentPlan,
     arms: Sequence[tuple[str, str, Callable[[], Corpus]]],
     train_config: TrainConfig | None,
-    feature_config: FeatureConfig | None,
     keep: Sequence[str] | None = None,
 ) -> ExperimentResult:
     """Train each (row key, cell name, training-corpus loader) arm in order
@@ -202,7 +201,6 @@ def _run_cells(
     manifest is always written, and any failure then raises RefparseError.
     """
     train_config = train_config or TrainConfig()
-    feature_config = feature_config or FeatureConfig()
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -211,7 +209,7 @@ def _run_cells(
     evals: dict[str, Corpus] = {}  # read once, on first use
     for key, cell, load in arms:
         try:
-            model = train(load(), feature_config, train_config)
+            model = train(load(), FeatureConfig(), train_config)
         except RefparseError as exc:
             result.failures.append({"cell": cell, "error": str(exc)})
             log.error("training %s failed: %s", cell, exc)
@@ -229,7 +227,7 @@ def _run_cells(
             write_report_csv(report, out_dir / f"fields_{cell}__{eval_name}.csv")
 
     write_csv(out_dir / f"{kind}.csv", (_ROW_KEYS[kind], "eval", *_AGG_COLUMNS), rows)
-    _write_manifest(plan, train_config, feature_config, kind, result.failures, out_dir)
+    _write_manifest(plan, train_config, kind, result.failures, out_dir)
     if result.failures:
         raise RefparseError(
             f"{kind} finished with {len(result.failures)} failure(s); "
@@ -241,7 +239,6 @@ def _run_cells(
 def cross_matrix(
     plan: ExperimentPlan,
     train_config: TrainConfig | None = None,
-    feature_config: FeatureConfig | None = None,
 ) -> ExperimentResult:
     """Train one model per train corpus, evaluate on every eval corpus."""
     if not plan.trains or not plan.evals:
@@ -251,7 +248,7 @@ def cross_matrix(
         (name, name, functools.partial(read_corpus, path, name=name))
         for name, path in plan.trains.items()
     ]
-    return _run_cells("matrix", plan, arms, train_config, feature_config)
+    return _run_cells("matrix", plan, arms, train_config)
 
 
 def nested_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> list[Corpus]:
@@ -276,7 +273,6 @@ def nested_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> list[Corp
 def size_curve(
     plan: ExperimentPlan,
     train_config: TrainConfig | None = None,
-    feature_config: FeatureConfig | None = None,
 ) -> ExperimentResult:
     """Train on nested subsets of one corpus and evaluate each size."""
     if len(plan.trains) != 1:
@@ -292,13 +288,12 @@ def size_curve(
         (str(size), f"size{size}", lambda subset=subset: subset)
         for size, subset in zip(plan.sizes, subsets)
     ]
-    return _run_cells("curve", plan, arms, train_config, feature_config)
+    return _run_cells("curve", plan, arms, train_config)
 
 
 def field_ablation(
     plan: ExperimentPlan,
     train_config: TrainConfig | None = None,
-    feature_config: FeatureConfig | None = None,
 ) -> ExperimentResult:
     """Full-label arm vs reduced-label arm on the same instances.
 
@@ -322,4 +317,4 @@ def field_ablation(
         ("full", "full", lambda: full_corpus),
         ("reduced", "reduced", lambda: filter_fields(full_corpus, keep)),
     ]
-    return _run_cells("ablation", plan, arms, train_config, feature_config, keep)
+    return _run_cells("ablation", plan, arms, train_config, keep)

@@ -11,18 +11,18 @@ The template mini-language has three constructs:
 * everything else is literal text, never covered by a span. ``\\<`` ``\\[``
   etc. escape the special characters.
 
-Slot names: author, editor, title, container, journal, booktitle, date,
-volume, issue, pages, publisher, location, institution, note, web. The
-``container`` slot labels its span journal or booktitle depending on the
-record's container kind; ``journal``/``booktitle`` render only for records
-of the matching kind.
+Slot names: author, title, date, container, journal, booktitle and pages,
+plus editor, volume, issue, publisher, location, institution, note and web,
+which render one record value as it is. The ``container`` slot labels its
+span journal or booktitle depending on the record's container kind;
+``journal``/``booktitle`` render only for records of the matching kind.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -81,6 +81,7 @@ _TEXT_KEYS = ("title", "container", "container_kind")
 _OPTIONAL_TEXT_KEYS = (
     "volume", "issue", "publisher", "editors", "location", "institution", "note", "url"
 )
+_RECORD_FIELDS = frozenset(f.name for f in fields(BibRecord))
 
 
 def _check_text(key: str, value) -> None:
@@ -88,35 +89,43 @@ def _check_text(key: str, value) -> None:
         raise DataError(f"record {key!r} must be a JSON string, got {json.dumps(value)}")
 
 
+def _author(value) -> tuple[str, str]:
+    pair = value
+    if isinstance(value, dict):
+        pair = [value.get("given", ""), value.get("family", "")]
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise DataError(
+            "record 'authors' must hold [given, family] pairs or {given, family} "
+            f"objects, got {json.dumps(value)}"
+        )
+    for name in pair:
+        _check_text("authors", name)
+    return pair[0], pair[1]
+
+
+def _pages(value) -> tuple[str, str]:
+    pair = isinstance(value, list) and len(value) == 2
+    if not (pair and all(type(p) in (str, int) for p in value)):
+        raise DataError(f"record 'pages' must be a [first, last] pair, got {json.dumps(value)}")
+    return str(value[0]), str(value[1])
+
+
 def record_from_dict(data: dict) -> BibRecord:
-    """A record from its JSON object; a non-string text value is a DataError."""
+    """A record from its JSON object, passing on the keys that are BibRecord
+    fields; a text value that is not a string, or an author or page range of
+    another shape, is a DataError."""
     for key, value in data.items():
         if key in _TEXT_KEYS or (key in _OPTIONAL_TEXT_KEYS and value is not None):
             _check_text(key, value)
-    authors = []
-    for a in data.get("authors", []):
-        if isinstance(a, dict):
-            a = (a.get("given", ""), a.get("family", ""))
-        authors.append((a[0], a[1]))
-        for name in authors[-1]:
-            _check_text("authors", name)
-    pages = data.get("pages")
-    return BibRecord(
-        authors=tuple(authors),
-        title=data["title"],
-        year=int(data["year"]),
-        container=data.get("container", ""),
-        container_kind=data.get("container_kind", "journal"),
-        volume=data.get("volume"),
-        issue=data.get("issue"),
-        pages=(str(pages[0]), str(pages[1])) if pages else None,
-        publisher=data.get("publisher"),
-        editors=data.get("editors"),
-        location=data.get("location"),
-        institution=data.get("institution"),
-        note=data.get("note"),
-        url=data.get("url"),
-    )
+    values = {key: value for key, value in data.items() if key in _RECORD_FIELDS}
+    authors = data.get("authors", [])
+    if not isinstance(authors, list):
+        raise DataError(f"record 'authors' must be a JSON list, got {json.dumps(authors)}")
+    values["authors"] = tuple(_author(a) for a in authors)
+    values["year"] = int(data["year"])
+    if values.get("pages") is not None:
+        values["pages"] = _pages(values["pages"])
+    return BibRecord(**values)
 
 
 def read_records(path) -> list[BibRecord]:
@@ -127,7 +136,7 @@ def read_records(path) -> list[BibRecord]:
             try:
                 if line.strip():
                     records.append(record_from_dict(json.loads(line)))
-            except DataError as exc:
+            except (DataError, UsageError) as exc:
                 raise DataError(f"bad record: {exc}", lineno) from None
             except (AttributeError, LookupError, TypeError, ValueError) as exc:
                 raise DataError(f"bad record: {type(exc).__name__}: {exc}", lineno) from None
@@ -159,12 +168,14 @@ class Group:
     elements: tuple
 
 
+# slot -> the record attribute it renders as it is, labelled with the slot's name
+_VALUE_SLOTS = {
+    "editor": "editors", "volume": "volume", "issue": "issue", "publisher": "publisher",
+    "location": "location", "institution": "institution", "note": "note", "web": "url",
+}
+
 SLOT_NAMES = frozenset(
-    {
-        "author", "editor", "title", "container", "journal", "booktitle",
-        "date", "volume", "issue", "pages", "publisher", "location",
-        "institution", "note", "web",
-    }
+    ("author", "title", "date", "container", "journal", "booktitle", "pages", *_VALUE_SLOTS)
 )
 
 
@@ -233,10 +244,10 @@ def parse_template(fmt: str, source: str = "<template>") -> tuple:
     return tuple(stack[0])
 
 
+# style-file key -> StyleTemplate field
 _STYLE_KEYS = {
-    "name", "family", "name-order", "initials", "author-sep", "author-final",
-    "et-al-min", "et-al-marker", "date-style", "title-case", "pages-sep",
-    "format",
+    "format" if f.name == "elements" else f.name.replace("_", "-"): f.name
+    for f in fields(StyleTemplate)
 }
 
 _CHOICES = {
@@ -248,7 +259,7 @@ _CHOICES = {
 
 
 def parse_style_text(text: str, source: str = "<style>") -> StyleTemplate:
-    values: dict[str, str] = {}
+    values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -271,27 +282,15 @@ def parse_style_text(text: str, source: str = "<style>") -> StyleTemplate:
             raise TemplateError(
                 f"{source}: {key} must be one of {allowed}, got {values[key]!r}"
             )
-    initials = values.get("initials", "dotted")
-    if initials == "yes":
-        initials = "dotted"
-    try:
-        et_al_min = int(values.get("et-al-min", "0"))
-    except ValueError:
-        raise TemplateError(f"{source}: et-al-min must be an integer") from None
-    return StyleTemplate(
-        name=values["name"],
-        family=values.get("family", ""),
-        elements=parse_template(values["format"], source=source),
-        name_order=values.get("name-order", "family-first"),
-        initials=initials,
-        author_sep=values.get("author-sep", ", "),
-        author_final=values.get("author-final", " and "),
-        et_al_min=et_al_min,
-        et_al_marker=values.get("et-al-marker", "et al."),
-        date_style=values.get("date-style", "plain"),
-        title_case=values.get("title-case", "none"),
-        pages_sep=values.get("pages-sep", "-"),
-    )
+    if values.get("initials") == "yes":
+        values["initials"] = "dotted"
+    if "et-al-min" in values:
+        try:
+            values["et-al-min"] = int(values["et-al-min"])
+        except ValueError:
+            raise TemplateError(f"{source}: et-al-min must be an integer") from None
+    values["format"] = parse_template(values["format"], source=source)
+    return StyleTemplate(**{_STYLE_KEYS[key]: value for key, value in values.items()})
 
 
 def read_style(path) -> StyleTemplate:
@@ -406,20 +405,10 @@ def _slot_parts(
             return None
         text = record.pages[0] + template.pages_sep + record.pages[1]
         return text, [("pages", 0, len(text))]
-    simple = {
-        "editor": ("editor", record.editors),
-        "volume": ("volume", record.volume),
-        "issue": ("issue", record.issue),
-        "publisher": ("publisher", record.publisher),
-        "location": ("location", record.location),
-        "institution": ("institution", record.institution),
-        "note": ("note", record.note),
-        "web": ("web", record.url),
-    }
-    label, value = simple[f]
+    value = getattr(record, _VALUE_SLOTS[f])
     if not value:
         return None
-    return value, [(label, 0, len(value))]
+    return value, [(f, 0, len(value))]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from refparse.experiments import (
     field_ablation,
     size_curve,
 )
-from refparse.features import FeatureConfig
 from refparse.labels import check_iob2, normalize_segment_text
 from refparse.metrics import (
     EvalReport,
@@ -38,7 +37,6 @@ import oracles
 from conftest import DATA_DIR
 
 TRAIN_CONFIG = TrainConfig(l2=1.0, max_epochs=200, tol=1e-4)
-FEATURES = FeatureConfig()
 
 ABLATED_FIELDS = ("location", "note", "institution")
 
@@ -123,17 +121,17 @@ def _ablation_plan(ws, out_name: str) -> ExperimentPlan:
 
 @pytest.fixture(scope="session")
 def matrix_result(workspace):
-    return cross_matrix(_matrix_plan(workspace, "matrix1"), TRAIN_CONFIG, FEATURES)
+    return cross_matrix(_matrix_plan(workspace, "matrix1"), TRAIN_CONFIG)
 
 
 @pytest.fixture(scope="session")
 def curve_result(workspace):
-    return size_curve(_curve_plan(workspace, "curve1"), TRAIN_CONFIG, FEATURES)
+    return size_curve(_curve_plan(workspace, "curve1"), TRAIN_CONFIG)
 
 
 @pytest.fixture(scope="session")
 def ablation_result(workspace):
-    return field_ablation(_ablation_plan(workspace, "ablation1"), TRAIN_CONFIG, FEATURES)
+    return field_ablation(_ablation_plan(workspace, "ablation1"), TRAIN_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +398,7 @@ def test_criterion_9_determinism(workspace, matrix_result, curve_result, ablatio
             ("ablation1", "ablation2", _ablation_plan, field_ablation),
         )
         for first, second, plan_fn, run_fn in reruns:
-            run_fn(plan_fn(workspace, second), TRAIN_CONFIG, FEATURES)
+            run_fn(plan_fn(workspace, second), TRAIN_CONFIG)
             dir1 = workspace["root"] / first
             dir2 = workspace["root"] / second
             names1, names2 = _csv_files(dir1), _csv_files(dir2)

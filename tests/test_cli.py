@@ -274,6 +274,37 @@ BAD_CLI_INPUTS = {
             ("authors", (b'[5, "B"]', b'"T"', b'"C"')),
         )
     },
+    # a record the BibRecord constructor rejects, or an author or page range
+    # of the wrong shape
+    **{
+        f"records_{case}": (
+            {"r.jsonl": line + b"\n"},
+            ["generate", "--records", "{d}/r.jsonl", "--n", "2", "--out", "{d}/c.xml"],
+            2, f"line 1: bad record: {message}",
+        )
+        for case, line, message in (
+            ("year_1200", b'{"title": "T", "year": 1200}', "record year 1200"),
+            ("book_kind", b'{"title": "T", "year": 2001, "container_kind": "book"}',
+             "unknown container kind 'book'"),
+            ("reversed_pages", b'{"title": "T", "year": 2001, "pages": ["30", "20"]}',
+             "page range 30-20 is reversed"),
+            ("author_string", b'{"authors": ["Ann"], "title": "T", "year": 2001}',
+             "record 'authors'"),
+            ("author_triple", b'{"authors": [["C", "D", "E"]], "title": "T", "year": 2001}',
+             "record 'authors'"),
+            ("authors_string", b'{"authors": "Ann Lee", "title": "T", "year": 2001}',
+             "record 'authors'"),
+            ("pages_string", b'{"title": "T", "year": 2001, "pages": "117-130"}',
+             "record 'pages'"),
+            ("pages_triple", b'{"title": "T", "year": 2001, "pages": [1, 2, 3]}',
+             "record 'pages'"),
+            ("pages_null_first", b'{"title": "T", "year": 2001, "pages": [null, 2]}',
+             "record 'pages'"),
+            ("author_object_not_string",
+             b'{"authors": [{"given": 5, "family": "F"}], "title": "T", "year": 2001}',
+             "record 'authors'"),
+        )
+    },
     "records_negative_seed": (
         {}, ["records", "--n", "2", "--seed", "-1", "--out", "{d}/r.jsonl"], 1, "seed",
     ),

@@ -73,7 +73,7 @@ class TestCrossMatrix:
             seed=0,
             out_dir=str(tmp_path / "m"),
         )
-        result = cross_matrix(plan, FAST, FeatureConfig())
+        result = cross_matrix(plan, FAST)
         manual_train = rp.read_inline_xml(paths["train_a"])
         manual_eval = rp.read_inline_xml(paths["eval_a"])
         model = train(manual_train, FeatureConfig(), FAST)
@@ -96,7 +96,7 @@ class TestCrossMatrix:
             seed=0,
             out_dir=str(tmp_path / "d"),
         )
-        cross_matrix(plan, FAST, FeatureConfig())
+        cross_matrix(plan, FAST)
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         digest = {
             name: hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
@@ -119,7 +119,7 @@ class TestCrossMatrix:
                 seed=0,
                 out_dir=str(tmp_path / tag),
             )
-            cross_matrix(plan, FAST, FeatureConfig())
+            cross_matrix(plan, FAST)
             outs.append(tmp_path / tag)
         for name in ("matrix.csv", "fields_a__a.csv", "fields_a__b.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -137,7 +137,7 @@ class TestCrossMatrix:
             out_dir=str(tmp_path / "fail"),
         )
         with pytest.raises(RefparseError):
-            cross_matrix(plan, FAST, FeatureConfig())
+            cross_matrix(plan, FAST)
         manifest = json.loads((tmp_path / "fail" / "manifest.json").read_text())
         assert manifest["partial"] is True
         assert manifest["failures"]
@@ -161,7 +161,7 @@ class TestSizeCurve:
             seed=3,
             out_dir=str(tmp_path / "c"),
         )
-        size_curve(plan, FAST, FeatureConfig())
+        size_curve(plan, FAST)
         # repeated size -> identical report rows
         lines = (tmp_path / "c" / "curve.csv").read_text().splitlines()
         assert len(lines) == 1 + 3  # header + one row per size
@@ -179,7 +179,7 @@ class TestSizeCurve:
             out_dir=str(tmp_path / "o"),
         )
         with pytest.raises(UsageError):
-            size_curve(plan, FAST, FeatureConfig())
+            size_curve(plan, FAST)
 
     def test_needs_exactly_one_train(self, tiny_corpora, tmp_path):
         root, paths = tiny_corpora
@@ -192,7 +192,7 @@ class TestSizeCurve:
             out_dir=str(tmp_path / "x"),
         )
         with pytest.raises(UsageError):
-            size_curve(plan, FAST, FeatureConfig())
+            size_curve(plan, FAST)
 
 
 class TestFieldAblation:
@@ -208,7 +208,7 @@ class TestFieldAblation:
             out_dir=str(tmp_path / "abl"),
         )
         with pytest.raises(UsageError):
-            field_ablation(plan, FAST, FeatureConfig())
+            field_ablation(plan, FAST)
 
     def test_two_arms_written(self, tiny_corpora, tmp_path):
         root, paths = tiny_corpora
@@ -224,7 +224,7 @@ class TestFieldAblation:
             seed=0,
             out_dir=str(tmp_path / "abl2"),
         )
-        result = field_ablation(plan, FAST, FeatureConfig())
+        result = field_ablation(plan, FAST)
         assert ("full", "a") in result.reports
         assert ("reduced", "a") in result.reports
         lines = (tmp_path / "abl2" / "ablation.csv").read_text().splitlines()
@@ -249,7 +249,7 @@ def test_unreadable_eval_recorded_in_manifest(run, tiny_corpora, tmp_path):
         out_dir=str(tmp_path / "out"),
     )
     with pytest.raises(RefparseError, match="partial results"):
-        run(plan, FAST, FeatureConfig())
+        run(plan, FAST)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["partial"] is True
     failures = manifest["failures"]

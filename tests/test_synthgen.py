@@ -6,8 +6,12 @@ from refparse.labels import check_iob2, normalize_segment_text
 from refparse.synthgen import (
     StyleTemplate,
     format_authors,
+    Group,
+    Literal,
+    Slot,
     parse_style_text,
     parse_template,
+    record_from_dict,
 )
 from refparse.tokenizer import tags_from_spans, tokenize
 
@@ -90,6 +94,45 @@ class TestTemplateParsing:
             parse_style_text("name: x\n")
         with pytest.raises(TemplateError):
             parse_style_text("format: <title>\n")
+
+    def test_style_file_sets_every_field(self):
+        text = (
+            "# every key of the style-file schema\n"
+            "name: full\nfamily: Z\nname-order: given-first\ninitials: plain\n"
+            'author-sep: "; "\nauthor-final: " & "\net-al-min: 4\n'
+            "et-al-marker: et al\ndate-style: parenthesized\ntitle-case: sentence\n"
+            'pages-sep: "--"\nformat: <author>[, <pages>].\n'
+        )
+        assert parse_style_text(text) == StyleTemplate(
+            name="full",
+            elements=(Slot("author"), Group((Literal(", "), Slot("pages"))), Literal(".")),
+            family="Z",
+            name_order="given-first",
+            initials="plain",
+            author_sep="; ",
+            author_final=" & ",
+            et_al_min=4,
+            et_al_marker="et al",
+            date_style="parenthesized",
+            title_case="sentence",
+            pages_sep="--",
+        )
+
+    def test_style_file_defaults_are_the_dataclass_defaults(self):
+        assert parse_style_text("name: x\nformat: <title>\n") == style(name="x")
+
+    def test_initials_yes_means_dotted(self):
+        tmpl = parse_style_text("name: x\ninitials: yes\nformat: <title>\n")
+        assert tmpl.initials == "dotted"
+
+    @pytest.mark.parametrize(
+        "line",
+        ["colour: red", "elements: <title>", "name_order: given-first",
+         "name-order: surname-first", "initials: none", "et-al-min: three"],
+    )
+    def test_style_file_bad_line(self, line):
+        with pytest.raises(TemplateError):
+            parse_style_text(f"name: x\n{line}\nformat: <title>\n")
 
 
 class TestRender:
@@ -222,6 +265,17 @@ class TestRecordsIO:
             rp.BibRecord(authors=(), title="T", year=1200)
         with pytest.raises(UsageError):
             rp.BibRecord(authors=(), title="T", year=2000, pages=("30", "20"))
+
+    def test_record_from_dict_passes_record_fields(self):
+        data = {
+            "authors": [["Ann", "Lee"], {"family": "Roe"}], "title": "T", "year": "2001",
+            "container_kind": "proceedings", "pages": [117, "130"], "url": "u",
+            "volume": None, "unknown": 1,
+        }
+        assert record_from_dict(data) == rp.BibRecord(
+            authors=(("Ann", "Lee"), ("", "Roe")), title="T", year=2001,
+            container_kind="proceedings", pages=("117", "130"), url="u",
+        )
 
     def test_random_records_deterministic(self):
         assert rp.random_records(20, seed=5) == rp.random_records(20, seed=5)
