@@ -26,7 +26,21 @@ is capped at exp(_EXP_CAP), as the pair terms always were.
 
 Training keeps its feature rows factored by token surface (see
 features.training_factors), so the emission scores and their gradient
-run over a few keys per position instead of every feature id.
+run over a few keys per position instead of every feature id. Decoding
+does the same per call (FeatureIds.keys): one sparse product scores the
+keys of the call's distinct surfaces, and a position's emission scores
+are its 2 * window + 3 key scores added in template order. They differ
+from the sum over the position's feature ids only by rounding, and an
+instance gets the same scores, bit for bit, alone and in any batch.
+
+Viterbi keeps the full (to, from) block on steps narrower than
+_PRUNE_ROWS rows, such as every step of a single instance. Wider steps
+prune it exactly (the decided-row test of CarpeDiem, Esposito & Radicioni
+2009, and of staggered decoding, Kaji et al. 2010): an I-f target compares
+its only two predecessors, and for the O/B targets a row whose best
+previous tag leads every other by more than the transition spread (plus
+a few ulps) takes that tag without the block. Ties still go to the lowest
+tag id, so both steps give the same paths.
 """
 
 from __future__ import annotations
@@ -35,7 +49,6 @@ import base64
 import functools
 import gzip
 import io
-import itertools
 import json
 import logging
 import zlib
@@ -73,6 +86,14 @@ NEG_INF = float("-inf")
 # exponent cap of the factor right[j] exp(m + m' - logZ) of the pairwise
 # marginals; the module docstring gives the weight range where they are exact
 _EXP_CAP = 600.0
+
+# Viterbi steps of at least this many rows take the pruned step; narrower
+# ones, such as every step of a single instance, the full (to, from) block
+_PRUNE_ROWS = 32
+
+# the margin, in units of the float64 epsilon times the magnitudes summed,
+# that a decided row's gap must clear beyond the transition spread
+_GAP_ULPS = 8.0
 
 
 def tags_for_labels(labels: Sequence[str]) -> tuple[str, ...]:
@@ -149,6 +170,35 @@ class CrfModel:
     def feature_ids(self) -> FeatureIds:
         """The model's feature rows, with their per-surface id cache."""
         return FeatureIds(self.feature_index, self.feature_config)
+
+    @functools.cached_property
+    def viterbi_tables(self) -> "_ViterbiTables":
+        """The transition tables of the pruned Viterbi step."""
+        return _ViterbiTables(self.transition, _structure_masks(self.tags)[0])
+
+
+class _ViterbiTables:
+    """What the pruned Viterbi step needs of a model's transitions.
+
+    The targets of `_structure_masks` split in two. An I target has at most
+    two predecessors, its B-f and I-f; `i_from` holds them in id order (a
+    tag with one predecessor holds it twice) and `i_trans` their transition
+    weights into it. Every tag may precede an O/B target (`ob`), and
+    `ob_trans` holds their columns. `spread` is the largest max - min of an
+    O/B column and `scale` the largest magnitude in them."""
+
+    def __init__(self, transition: np.ndarray, tmask: np.ndarray):
+        free = tmask.all(axis=0)
+        self.ob = np.flatnonzero(free)
+        self.i_to = np.flatnonzero(~free)
+        preds = [np.flatnonzero(tmask[:, j]) for j in self.i_to.tolist()]
+        if any(len(p) > 2 for p in preds):
+            raise StructuralError("an I tag has more than two predecessors")
+        self.i_from = np.array([p[[0, -1]] for p in preds], dtype=np.intp).reshape(-1, 2)
+        self.i_trans = transition[self.i_from, self.i_to[:, None]]
+        self.ob_trans = cols = transition[:, self.ob]
+        self.spread = float((cols.max(axis=0) - cols.min(axis=0)).max(initial=0.0))
+        self.scale = float(np.abs(cols).max(initial=0.0))
 
 
 def empty_model(
@@ -357,16 +407,54 @@ def marginals(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
     return mu
 
 
+def _pruned_step(vp: np.ndarray, tables: _ViterbiTables) -> tuple[np.ndarray, np.ndarray]:
+    """One Viterbi step from the path scores `vp` (rows, L) of the previous
+    step: the best previous tag of each (row, target) and what it adds, both
+    (rows, L), as the full (to, from) block would give them.
+
+    An I target compares its two candidates. For the O/B targets, take a
+    row whose best previous tag a beats every other tag f by a gap above
+    the spread s. For every O/B target j, v[f] + T[f, j] < v[a] - s +
+    max T[:, j] <= v[a] + T[a, j], so a wins, strictly. The gap must also
+    clear a few ulps of the magnitudes summed, so that rounding the sums
+    cannot make a tie, which the full block would break toward the lower id.
+    Only the other rows get the (row, O/B target, from) block."""
+    arg = np.empty(vp.shape, dtype=np.intp)
+    add = np.empty_like(vp)
+    cand = vp[:, tables.i_from] + tables.i_trans  # (row, I target, 2)
+    later = cand[:, :, 1] > cand[:, :, 0]  # a tie keeps the lower id
+    arg[:, tables.i_to] = np.where(later, tables.i_from[:, 1], tables.i_from[:, 0])
+    add[:, tables.i_to] = cand.max(axis=2)
+
+    rows = np.arange(len(vp))
+    best = vp.argmax(axis=1)
+    top = vp[rows, best]
+    rest = vp.copy()
+    rest[rows, best] = NEG_INF
+    gap = top - rest.max(axis=1)
+    margin = tables.spread + _GAP_ULPS * np.finfo(float).eps * (np.abs(top) + tables.scale)
+    arg[:, tables.ob] = best[:, None]
+    add[:, tables.ob] = top[:, None] + tables.ob_trans[best]
+    open_ = np.flatnonzero(~(gap > margin))
+    if len(open_):
+        scores = vp[open_, None, :] + tables.ob_trans.T  # (row, O/B target, from)
+        block = np.ix_(open_, tables.ob)
+        arg[block] = best_from = scores.argmax(axis=2)  # first max -> lowest id
+        add[block] = np.take_along_axis(scores, best_from[:, :, None], axis=2)[:, :, 0]
+    return arg, add
+
+
 def _viterbi(e: np.ndarray, pack: _Packing, model: CrfModel) -> np.ndarray:
     """Highest-scoring tag ids of a packed batch, in the packing's row order;
     ties break toward the lowest tag id. `e` holds the emission scores and
-    is overwritten with the best path scores."""
+    is overwritten with the best path scores. Steps of `_PRUNE_ROWS` rows or
+    more take `_pruned_step`, the others the full (row, to, from) block."""
     n_tags = e.shape[1]
     steps = pack.widths.tolist()
     starts = pack.starts.tolist()
     trans_to_from = model.transition.T
     # flat indices: of each row's tag 0 in `e`, and of (row, to, from 0) in a
-    # step's scores
+    # full block's scores
     row_base = np.arange(0, e.size, n_tags)
     to_base = np.arange(0, steps[0] * n_tags * n_tags, n_tags).reshape(steps[0], n_tags)
     back = np.empty(e.shape, dtype=np.intp)  # flat index of the best previous (row, tag)
@@ -374,10 +462,14 @@ def _viterbi(e: np.ndarray, pack: _Packing, model: CrfModel) -> np.ndarray:
     v[: steps[0]] += model.begin
     for t in range(1, len(steps)):
         w, lo, prev = steps[t], starts[t], starts[t - 1]
-        scores = v[prev : prev + w, None, :] + trans_to_from  # (row, to, from)
-        arg = scores.argmax(axis=2)  # first max -> lowest id
         rows = v[lo : lo + w]
-        rows += scores.ravel()[arg + to_base[:w]]
+        if w >= _PRUNE_ROWS:
+            arg, add = _pruned_step(v[prev : prev + w], model.viterbi_tables)
+            rows += add
+        else:
+            scores = v[prev : prev + w, None, :] + trans_to_from  # (row, to, from)
+            arg = scores.argmax(axis=2)  # first max -> lowest id
+            rows += scores.ravel()[arg + to_base[:w]]
         np.add(arg, row_base[prev : prev + w, None], out=back[lo : lo + w])
     # each instance's path ends at its last row; the rows of step t continue
     # the paths of step t+1 back through `back`
@@ -397,18 +489,30 @@ def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
     return tuple(model.tags[i] for i in best.tolist())
 
 
+def _emissions(model: CrfModel, xv: sparse.csr_matrix, keys: np.ndarray) -> np.ndarray:
+    """(P, L) emission scores of the positions whose keys are the rows of
+    `keys`, with the keys' ids in `xv`, as `FeatureIds.keys` gives them: one
+    product scores the keys, then each key column's scores are gathered and
+    added, in column order."""
+    scores = xv @ model.emission
+    e = scores[keys[:, 0]]
+    for column in keys.T[1:]:
+        e += scores[column]
+    return e
+
+
 def _decode(model: CrfModel, surfaces: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
     """The tags of each token-surface sequence, decoded as one packed batch:
-    one emission product and one Viterbi pass. Empty sequences get ()."""
+    one emission pass over the batch's keys and one Viterbi pass. Empty
+    sequences get ()."""
     tags: list[tuple[str, ...]] = [()] * len(surfaces)
     lengths = np.array([len(s) for s in surfaces], dtype=np.int64)
     kept = np.flatnonzero(lengths).tolist()
     if kept:
-        rows = (model.feature_ids.rows(surfaces[i]) for i in kept)
-        x = id_matrix(itertools.chain.from_iterable(rows), model.feature_index)
+        xv, keys = model.feature_ids.keys([surfaces[i] for i in kept])
         pack = _Packing(lengths[kept])
         best = np.empty(len(pack.source), dtype=np.intp)
-        best[pack.source] = _viterbi((x @ model.emission)[pack.source], pack, model)
+        best[pack.source] = _viterbi(_emissions(model, xv, keys[pack.source]), pack, model)
         names = [model.tags[i] for i in best.tolist()]
         end = 0
         for i in kept:
@@ -513,6 +617,19 @@ def _batch_nll_grad(
     return nll, CrfGradient(grad_emission, grad_trans, grad_begin, grad_end)
 
 
+def _stack_rows(rows: Sequence[sparse.csr_matrix], n_features: int) -> sparse.csr_matrix:
+    """The CSR matrices of `n_features` columns stacked one after another,
+    as `sparse.vstack` stacks them, by concatenating their arrays."""
+    if any(x.shape[1] != n_features for x in rows):
+        raise StructuralError(f"instance rows do not have the model's {n_features} features")
+    starts = np.cumsum([0] + [x.nnz for x in rows], dtype=np.int64)  # no overflow
+    indptr = np.concatenate([starts[:1]] + [x.indptr[1:] + n for x, n in zip(rows, starts)])
+    return sparse.csr_matrix(
+        (np.concatenate([x.data for x in rows]), np.concatenate([x.indices for x in rows]), indptr),
+        shape=(len(indptr) - 1, n_features),
+    )
+
+
 def nll_and_gradient(
     instances: Sequence[VectorizedInstance], model: CrfModel, l2: float = 0.0
 ) -> tuple[float, CrfGradient]:
@@ -524,7 +641,7 @@ def nll_and_gradient(
             raise UsageError("batch instances need gold tags")
         if len(inst) == 0:
             raise StructuralError("zero-length instance in batch")
-    x = sparse.vstack([inst.x for inst in instances], format="csr")
+    x = _stack_rows([inst.x for inst in instances], len(model.feature_index))
     batch = _Batch(
         x,
         sparse.identity(x.shape[1], format="csr"),

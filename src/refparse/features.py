@@ -142,15 +142,15 @@ def _attributes(s: str, config: FeatureConfig) -> list[tuple[str, str]]:
 _BUCKETS = ("first", "last", "early", "mid", "late")
 
 
-def _bucket(position: int, n: int) -> int:
-    """Index into _BUCKETS of a position in an instance of n tokens."""
-    if position == 0:
-        return 0
-    if position == n - 1:
-        return 1
-    if 3 * position < n:
-        return 2
-    return 3 if 3 * position < 2 * n else 4
+def _buckets(n: int) -> list[int]:
+    """The index into _BUCKETS of every position p of an instance of n
+    tokens: first, last, and between them early while 3p < n, mid while
+    3p < 2n, late after."""
+    if n <= 1:
+        return [0] * n
+    early = min((n - 1) // 3, n - 2)  # the last p with 3p < n
+    mid = min((2 * n - 1) // 3, n - 2)  # the last p with 3p < 2n
+    return [0] + [2] * early + [3] * (mid - early) + [4] * (n - 2 - mid) + [1]
 
 
 @functools.cache
@@ -196,12 +196,12 @@ def _rows(tokens: Sequence[tuple], bos: list, eos: list, buckets: list) -> Itera
     width = len(bos)
     pad = width // 2
     padded = [bos] * pad + [parts for parts, _ in tokens] + [eos] * pad
-    for position, (_, affixes) in enumerate(tokens):
+    for position, ((_, affixes), bucket) in enumerate(zip(tokens, _buckets(n))):
         row: list = []
         for k, parts in enumerate(padded[position : position + width]):
             row += parts[k]  # what the token k - pad away gives at that offset
         row += affixes
-        row += buckets[_bucket(position, n)]
+        row += buckets[bucket]
         yield row
 
 
@@ -243,12 +243,14 @@ _SURFACE_CACHE_SIZE = 1 << 14
 
 class FeatureIds:
     """The inference path of `extract`: `rows(surfaces)` equals
-    `map(index.lookup_many, extract(surfaces, config))`, id for id.
+    `map(index.lookup_many, extract(surfaces, config))`, id for id, and
+    `keys` gives the same rows factored by surface, as `training_factors`
+    does for training.
 
     Each distinct surface's known ids per window offset and its affix ids
     are looked up once and cached across calls, so a row is assembled from
     cached ids (CRFsuite's split of token attributes from the features they
-    fire). Training builds its rows with `training_factors` instead."""
+    fire); `keys` also caches them as one array per surface."""
 
     def __init__(self, index: FeatureIndex, config: FeatureConfig):
         self.index = index
@@ -257,19 +259,85 @@ class FeatureIds:
             [index.lookup_many(names) for names in group] for group in _fixed_names(config)
         ]
         self._tokens: dict[str, tuple[list[list[int]], list[int]]] = {}
+        # surface -> the ids of its 2 * window + 2 keys, concatenated, and
+        # their sizes; a surface here is also in `_tokens`
+        self._keys: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # the fixed keys: bos, then eos, per window offset, then the buckets
+        self._fixed_keys = _key_arrays(list(itertools.chain.from_iterable(self._fixed)))
+        # a position's keys from the first keys of the padded slots: the
+        # slot at each window offset, and the center's for the affixes
+        self._offsets = np.array([*range(-config.window, config.window + 1), 0])
+        self._columns = np.arange(2 * config.window + 2)
+
+    def _look_up(self, s: str) -> tuple[list[list[int]], list[int]]:
+        """Cache and return the ids of a surface the cache does not hold."""
+        if len(self._tokens) >= _SURFACE_CACHE_SIZE:
+            self._tokens.clear()
+            self._keys.clear()
+        window, affixes = _token_names(s, self.config)
+        lookup = self.index.lookup_many
+        ids = self._tokens[s] = ([lookup(names) for names in window], lookup(affixes))
+        return ids
 
     def rows(self, surfaces: Sequence[str]) -> Iterator[list[int]]:
-        cache, lookup = self._tokens, self.index.lookup_many
-        tokens = []
-        for s in surfaces:
-            ids = cache.get(s)
-            if ids is None:
-                if len(cache) >= _SURFACE_CACHE_SIZE:
-                    cache.clear()
-                window, affixes = _token_names(s, self.config)
-                ids = cache[s] = ([lookup(names) for names in window], lookup(affixes))
-            tokens.append(ids)
+        cache = self._tokens
+        tokens = [cache.get(s) or self._look_up(s) for s in surfaces]
         return _rows(tokens, *self._fixed)
+
+    def keys(self, instances: Sequence[Sequence[str]]) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """The rows of every position of the instances, stacked one instance
+        after another, factored by surface as `H @ Xv`: returns `Xv`, each
+        key's ids, and H as a (P, 2 * window + 3) array of each position's
+        keys in template order (the token, bos or eos at each window offset,
+        the center's affixes, the position bucket). The keys are the fixed
+        ones (bos, then eos, per window offset, then the buckets), then the
+        2 * window + 2 keys of each distinct surface of the call, in the
+        order of first use: its ids at each offset, then its affix ids."""
+        width = 2 * self.config.window + 1
+        fixed_ids, fixed_sizes = self._fixed_keys
+        ids, sizes = [fixed_ids], [fixed_sizes]
+        first = dict.fromkeys(itertools.chain.from_iterable(instances))  # a surface's first key
+        n_keys = n_fixed = len(fixed_sizes)
+        cache, keyed = self._tokens, self._keys
+        for s in first:
+            first[s] = n_keys
+            n_keys += width + 1
+            arrays = keyed.get(s)
+            if arrays is None:
+                window, affixes = cache.get(s) or self._look_up(s)
+                arrays = keyed[s] = _key_arrays([*window, affixes])
+            ids.append(arrays[0])
+            sizes.append(arrays[1])
+        indptr = np.zeros(n_keys + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(sizes), out=indptr[1:])
+        cols = np.concatenate(ids)
+        xv = sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_keys, len(self.index)))
+
+        # each instance's first keys, padded with `window` bos (first key 0)
+        # and eos (first key `width`) slots on either side
+        pad = self.config.window
+        slots: list[int] = []
+        bucket: list[int] = []
+        for surfaces in instances:
+            slots += [0] * pad
+            slots += map(first.__getitem__, surfaces)
+            slots += [width] * pad
+            bucket += _buckets(len(surfaces))
+        slots_a = np.array(slots, dtype=np.intp)
+        tokens = np.flatnonzero(slots_a >= n_fixed)
+        keys = np.empty((len(tokens), width + 2), dtype=np.intp)
+        keys[:, :-1] = slots_a[tokens[:, None] + self._offsets] + self._columns
+        keys[:, -1] = bucket
+        keys[:, -1] += 2 * width
+        return xv, keys
+
+
+def _key_arrays(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the lists concatenated, and the lists' sizes."""
+    return (
+        np.array(list(itertools.chain.from_iterable(id_lists)), dtype=np.int32),
+        np.array([len(ids) for ids in id_lists], dtype=np.int64),
+    )
 
 
 def id_matrix(id_lists: Iterable[Sequence[int]], features: Sized) -> sparse.csr_matrix:

@@ -112,8 +112,8 @@ def _pages(value) -> tuple[str, str]:
 
 def record_from_dict(data: dict) -> BibRecord:
     """A record from its JSON object, passing on the keys that are BibRecord
-    fields; a text value that is not a string, or an author or page range of
-    another shape, is a DataError."""
+    fields; a text value that is not a string, a year that is a number with
+    a fraction, or an author or page range of another shape, is a DataError."""
     for key, value in data.items():
         if key in _TEXT_KEYS or (key in _OPTIONAL_TEXT_KEYS and value is not None):
             _check_text(key, value)
@@ -122,7 +122,10 @@ def record_from_dict(data: dict) -> BibRecord:
     if not isinstance(authors, list):
         raise DataError(f"record 'authors' must be a JSON list, got {json.dumps(authors)}")
     values["authors"] = tuple(_author(a) for a in authors)
-    values["year"] = int(data["year"])
+    year = data["year"]
+    if isinstance(year, float) and not year.is_integer():
+        raise DataError(f"record 'year' must be an integer, got {json.dumps(year)}")
+    values["year"] = int(year)
     if values.get("pages") is not None:
         values["pages"] = _pages(values["pages"])
     return BibRecord(**values)
@@ -289,6 +292,8 @@ def parse_style_text(text: str, source: str = "<style>") -> StyleTemplate:
             values["et-al-min"] = int(values["et-al-min"])
         except ValueError:
             raise TemplateError(f"{source}: et-al-min must be an integer") from None
+        if values["et-al-min"] < 0:
+            raise TemplateError(f"{source}: et-al-min must be >= 0, got {values['et-al-min']}")
     values["format"] = parse_template(values["format"], source=source)
     return StyleTemplate(**{_STYLE_KEYS[key]: value for key, value in values.items()})
 

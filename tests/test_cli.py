@@ -284,6 +284,7 @@ BAD_CLI_INPUTS = {
         )
         for case, line, message in (
             ("year_1200", b'{"title": "T", "year": 1200}', "record year 1200"),
+            ("year_fraction", b'{"title": "T", "year": 2001.9}', "record 'year'"),
             ("book_kind", b'{"title": "T", "year": 2001, "container_kind": "book"}',
              "unknown container kind 'book'"),
             ("reversed_pages", b'{"title": "T", "year": 2001, "pages": ["30", "20"]}',

@@ -249,6 +249,133 @@ class TestPackedViterbi:
                 assert tuple(path.tolist()) == want
 
 
+def _packed_paths(insts, m) -> list[tuple[int, ...]]:
+    """Each instance's path from one `_viterbi` pass over the packed batch."""
+    lengths = np.array([len(inst) for inst in insts])
+    e = sparse.vstack([inst.x for inst in insts], format="csr") @ m.emission
+    pack = crf._Packing(lengths)
+    best = np.empty(len(e), dtype=np.intp)
+    best[pack.source] = crf._viterbi(e[pack.source], pack, m)
+    return [tuple(p.tolist()) for p in np.split(best, np.cumsum(lengths)[:-1])]
+
+
+def _full_block(vp: np.ndarray, transition: np.ndarray):
+    """A step's best previous tags and what they add, from every (to, from)."""
+    scores = vp[:, None, :] + transition.T
+    arg = scores.argmax(axis=2)
+    return arg, np.take_along_axis(scores, arg[:, :, None], axis=2)[:, :, 0]
+
+
+def _two_tag_model(emission: np.ndarray, transition: np.ndarray) -> crf.CrfModel:
+    m = unconstrained_model(2, n_feats=len(emission))
+    return replace(m, emission=emission, transition=transition)
+
+
+class TestPrunedViterbi:
+    def test_tables_follow_the_structure_masks(self):
+        m = oracles.random_model(np.random.default_rng(20), n_fields=3)
+        tables = m.viterbi_tables
+        # O, B-author, I-author, B-title, I-title, B-date, I-date
+        assert tables.ob.tolist() == [0, 1, 3, 5]
+        assert tables.i_to.tolist() == [2, 4, 6]
+        assert tables.i_from.tolist() == [[1, 2], [3, 4], [5, 6]]
+        cols = m.transition[:, tables.ob]
+        assert tables.spread == (cols.max(axis=0) - cols.min(axis=0)).max()
+        # a tag set without I tags has only O/B targets
+        tables = unconstrained_model(3).viterbi_tables
+        assert tables.ob.tolist() == [0, 1, 2] and tables.i_to.size == 0
+
+    @pytest.mark.parametrize("scale", [0.1, 2.0, 50.0, 0.0])
+    def test_wide_batches_match_enumeration(self, scale):
+        # every step of these batches is at least _PRUNE_ROWS rows wide
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)), scale=scale)
+            n = 2 * crf._PRUNE_ROWS + int(rng.integers(0, 8))
+            lengths = rng.integers(1, 5, size=n)
+            lengths[: crf._PRUNE_ROWS] = 4
+            insts = [oracles.random_instance(rng, m, int(k)) for k in lengths]
+            for inst, path in zip(insts, _packed_paths(insts, m)):
+                _, want, _ = oracles.enumerate_all(inst, m)
+                assert path == want
+                if scale == 0.0:
+                    assert path == (0,) * len(inst)
+
+    def test_step_with_decided_and_undecided_rows(self):
+        rng = np.random.default_rng(22)
+        m = oracles.random_model(rng, n_fields=3)
+        tables = m.viterbi_tables
+        vp = rng.normal(size=(crf._PRUNE_ROWS, len(m.tags)))
+        vp[:, [2, 4, 6]] = np.where(rng.random((len(vp), 3)) < 0.3, -np.inf, vp[:, [2, 4, 6]])
+        # half the rows: one tag far ahead of the rest
+        lead = rng.integers(len(m.tags), size=len(vp) // 2)
+        vp[np.arange(len(lead)), lead] += 3 * tables.spread
+        top2 = np.sort(vp, axis=1)[:, -2:]
+        decided = top2[:, 1] - top2[:, 0] > tables.spread
+        assert decided.any() and not decided.all()
+        arg, add = crf._pruned_step(vp, tables)
+        want_arg, want_add = _full_block(vp, m.transition)
+        np.testing.assert_array_equal(arg, want_arg)
+        np.testing.assert_array_equal(add, want_add)
+
+    def test_gap_equal_to_the_spread_ties_to_the_lower_id(self):
+        # v = [0, 1] and transition column 0 = [1, 0]: both candidates of
+        # target 0 score 1, and the spread is 1, so the row is not decided
+        m = _two_tag_model(
+            np.array([[0.0, 1.0], [0.0, -5.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])
+        )
+        assert m.viterbi_tables.spread == 1.0
+        arg, _ = crf._pruned_step(np.array([[0.0, 1.0]]), m.viterbi_tables)
+        assert arg.tolist() == [[0, 1]]
+        insts = [simple_instance([[0], [1]], n_feats=2)] * (2 * crf._PRUNE_ROWS)
+        assert crf.viterbi(insts[0], m) == ("O", "O")
+        assert _packed_paths(insts, m) == [(0, 0)] * len(insts)
+
+    def test_gap_within_rounding_of_the_spread_is_not_decided(self):
+        # exactly, tag 1 wins target 0 by 2**-34 (its gap g beats the spread
+        # s), but at magnitude 2**20 the sums round to a tie, which the full
+        # block breaks toward tag 0
+        big, g = 2.0**20, 1.0 + 2.0**-32
+        s = g - 2.0**-34
+        assert s < g and big + s == big + g
+        m = _two_tag_model(
+            np.array([[big, big + g], [0.0, -(2.0**21)]]), np.array([[s, 0.0], [0.0, 0.0]])
+        )
+        assert m.viterbi_tables.spread == s
+        arg, _ = crf._pruned_step(np.array([[big, big + g]]), m.viterbi_tables)
+        assert arg.tolist() == [[0, 1]]
+        insts = [simple_instance([[0], [1]], n_feats=2)] * (2 * crf._PRUNE_ROWS)
+        want = tuple(m.tags.index(t) for t in crf.viterbi(insts[0], m))
+        assert want == (0, 0)
+        assert _packed_paths(insts, m) == [want] * len(insts)
+
+
+class TestDecodeEmissions:
+    def _lines(self) -> list[list[str]]:
+        """1-token lines, lines shorter than the window, repeated surfaces
+        and surfaces the model has never seen."""
+        lines = [[t.surface for t in rp.tokenize(line)] for line in _mixed_lines()]
+        return lines + [["Zqxjvw"], ["Zqxjvw", "Qwxz", "Zqxjvw"], ["2015", "2015"]]
+
+    def test_match_the_sparse_row_product(self, small_model_and_eval):
+        model, _ = small_model_and_eval
+        lines = self._lines()
+        assert {1, 2, 3} <= {len(s) for s in lines}
+        tokens = [s for line in lines for s in line]
+        assert len(set(tokens)) < len(tokens)
+        assert any(model.feature_index.lookup(f"w[0]={s.lower()}") is None for s in tokens)
+        got = crf._emissions(model, *model.feature_ids.keys(lines))
+        x = sparse.vstack([crf.vectorize(s, model).x for s in lines], format="csr")
+        np.testing.assert_allclose(got, x @ model.emission, rtol=0, atol=1e-12)
+
+    def test_alone_equal_in_a_batch(self, small_model_and_eval):
+        model, _ = small_model_and_eval
+        lines = self._lines()
+        batch = crf._emissions(model, *model.feature_ids.keys(lines))
+        alone = [crf._emissions(model, *model.feature_ids.keys([s])) for s in lines]
+        np.testing.assert_array_equal(np.concatenate(alone), batch)
+
+
 class TestDecodeMany:
     def test_matches_line_by_line_decode(self, small_model_and_eval):
         model, _ = small_model_and_eval
@@ -279,6 +406,7 @@ class TestDecodeMany:
         assert crf.decode_many(small, lines) == want
         assert [crf.decode(small, line) for line in lines] == want
         assert len(small.feature_ids._tokens) <= 3
+        assert len(small.feature_ids._keys) <= 3
 
 
 class TestMarginals:
@@ -401,6 +529,34 @@ class TestNllAndGradient:
                 fm, _ = crf.nll_and_gradient(insts, crf._unpack(xm, m, tmask, bmask), l2)
                 fd = (fp - fm) / (2 * h)
                 assert abs(fd - gvec[i]) <= 1e-4 * max(1.0, abs(fd), abs(gvec[i]))
+
+    def test_stacked_rows_are_vstack_and_objective_unchanged(self):
+        rng = np.random.default_rng(12)
+        m = oracles.random_model(rng, n_fields=2)
+        insts = [
+            oracles.random_instance(rng, m, int(rng.integers(1, 6)), with_gold=True)
+            for _ in range(9)
+        ]
+        xs = [inst.x for inst in insts]
+        got = crf._stack_rows(xs, len(m.feature_index))
+        want = sparse.vstack(xs, format="csr")
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        batch = crf._Batch(
+            want,
+            sparse.identity(want.shape[1], format="csr"),
+            np.concatenate([inst.gold for inst in insts]),
+            np.array([len(inst) for inst in insts]),
+            len(m.tags),
+        )
+        want_nll, want_grad = crf._batch_nll_grad(batch, m, 0.5)
+        nll, grad = crf.nll_and_gradient(insts, m, 0.5)
+        assert nll == want_nll
+        for part in ("emission", "transition", "begin", "end"):
+            np.testing.assert_array_equal(getattr(grad, part), getattr(want_grad, part))
+        with pytest.raises(StructuralError):
+            crf._stack_rows(xs, len(m.feature_index) + 1)
 
     def test_gold_outside_tag_set_is_data_error(self):
         m = unconstrained_model(2)  # tags O, B-author only

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from scipy import sparse
 
 import refparse as rp
+from refparse import features
 from refparse.errors import UsageError
 from refparse.features import (
     FeatureConfig,
@@ -62,6 +65,17 @@ def test_position_buckets():
     assert buckets[-1] == "posbucket=last"
     assert "posbucket=early" in buckets and "posbucket=mid" in buckets
     assert "posbucket=late" in buckets
+
+
+def test_position_buckets_follow_the_thirds():
+    # first, last, then early while 3p < n, mid while 3p < 2n, late after
+    def bucket(p, n):
+        if p in (0, n - 1):
+            return 0 if p == 0 else 1
+        return 2 if 3 * p < n else 3 if 3 * p < 2 * n else 4
+
+    for n in range(0, 40):
+        assert features._buckets(n) == [bucket(p, n) for p in range(n)]
 
 
 def test_index_respects_min_count():
@@ -199,6 +213,28 @@ def test_cached_rows_equal_looked_up_names(config):
             index.lookup_many(names) for names in extract(surfaces, config)
         ]
 
+
+
+@CONFIGS
+def test_keys_multiply_to_the_cached_rows(config):
+    # instances shorter than the window, surfaces that recur in and across
+    # instances, surfaces the index does not know, and an empty instance
+    corpus = [["Smith"], ["Smith", "2001"], [], GOLDEN_SURFACES] + _mixed_surfaces()
+    index = build_index(corpus_features(corpus[:40], config), config.min_count)
+    ids = FeatureIds(index, config)
+    for batch in (corpus, corpus[::-1], corpus[3:4]):  # the cache cold, then warm
+        xv, keys = ids.keys(batch)
+        n = sum(map(len, batch))
+        width = 2 * config.window + 3
+        assert keys.shape == (n, width) and xv.shape[1] == len(index)
+        distinct = len({s for surfaces in batch for s in surfaces})
+        assert xv.shape[0] == 2 * (width - 2) + 5 + distinct * (width - 1)
+        h = sparse.csr_matrix(
+            (np.ones(keys.size), keys.ravel(), np.arange(0, keys.size + 1, width)),
+            shape=(n, xv.shape[0]),
+        )
+        rows = id_matrix([row for surfaces in batch for row in ids.rows(surfaces)], index)
+        assert ((h @ xv) != rows).nnz == 0
 
 
 @CONFIGS

@@ -128,7 +128,8 @@ class TestTemplateParsing:
     @pytest.mark.parametrize(
         "line",
         ["colour: red", "elements: <title>", "name_order: given-first",
-         "name-order: surname-first", "initials: none", "et-al-min: three"],
+         "name-order: surname-first", "initials: none", "et-al-min: three",
+         "et-al-min: -2"],
     )
     def test_style_file_bad_line(self, line):
         with pytest.raises(TemplateError):
