@@ -24,14 +24,16 @@ rows where it would pass exp(_EXP_CAP), which only weights far beyond
 trained sizes reach, the posteriors are taken in logs and each right[j] c
 is capped at exp(_EXP_CAP), as the pair terms always were.
 
-Training keeps its feature rows factored by token surface (see
-features.training_factors), so the emission scores and their gradient
-run over a few keys per position instead of every feature id. Decoding
-does the same per call (FeatureIds.keys): one sparse product scores the
-keys of the call's distinct surfaces, and a position's emission scores
-are its 2 * window + 3 key scores added in template order. They differ
-from the sum over the position's feature ids only by rounding, and an
-instance gets the same scores, bit for bit, alone and in any batch.
+Feature rows are factored by token surface in one key layout, which
+training (features.training_factors) and inference (FeatureIds.keys)
+share, so the emission scores and their gradient run over a few keys per
+position instead of every feature id. One per-model cache holds each
+surface's key ids. Decoding scores the keys of a call's distinct surfaces
+with one sparse product, and a position's emission scores are its
+2 * window + 3 key scores added in template order. They differ from the
+sum over the position's feature ids only by rounding, and an instance
+gets the same scores, bit for bit, alone and in any batch. `vectorize`
+lays each position's keys' ids end to end, in template order.
 
 Viterbi keeps the full (to, from) block on steps narrower than
 _PRUNE_ROWS rows, such as every step of a single instance. Wider steps
@@ -60,7 +62,7 @@ from scipy import sparse
 
 from . import optim
 from .errors import DataError, NumericError, StructuralError, UsageError
-from .features import FeatureConfig, FeatureIds, FeatureIndex, id_matrix, training_factors
+from .features import FeatureConfig, FeatureIds, FeatureIndex, ones_matrix, training_factors
 from .labels import (
     OUT,
     LabeledReference,
@@ -168,7 +170,7 @@ class CrfModel:
 
     @functools.cached_property
     def feature_ids(self) -> FeatureIds:
-        """The model's feature rows, with their per-surface id cache."""
+        """The model's feature keys, with their per-surface id cache."""
         return FeatureIds(self.feature_index, self.feature_config)
 
     @functools.cached_property
@@ -249,7 +251,13 @@ def vectorize(
     """Map one token sequence (and optionally its gold tags) onto the model's
     feature and tag ids. Unknown features are dropped; unknown gold tags are
     a data error naming the instance."""
-    x = id_matrix(model.feature_ids.rows(surfaces), model.feature_index)
+    xv, keys = model.feature_ids.keys([surfaces])
+    # a position's ids are its keys' ids, key after key: the keys' ranges
+    # of xv.indices, laid end to end
+    sizes = np.diff(xv.indptr)[keys].ravel()
+    shift = xv.indptr[keys].ravel() - (np.cumsum(sizes) - sizes)
+    cols = xv.indices[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
+    x = ones_matrix(cols, sizes.reshape(keys.shape).sum(axis=1), len(model.feature_index))
     gold = None
     if gold_tags is not None:
         if len(gold_tags) != len(surfaces):

@@ -4,20 +4,23 @@ Every template emits a readable string name like "w[-1]=vol" or "shape[0]=d";
 names carry their template id and offset so they never collide across
 templates. The mapping from names to dense ids (FeatureIndex) is frozen at
 training time and serialized with the model, so unknown names at inference
-simply score zero. Training names each distinct token surface once; at
-inference FeatureIds builds the rows as ids, from a cache of surface ids.
+simply score zero. One key layout (`_factors`) serves training and
+inference: a position's row is the sum of 2 * window + 3 keys, each one a
+surface (or bos/eos) at a window offset, a surface's affixes, or a position
+bucket. Training names each distinct token surface once
+(`training_factors`); at inference one cache (FeatureIds) holds each
+surface's key ids.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Sized
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -89,7 +92,9 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureConfig":
-        """Inverse of `to_dict`. A fixed template recorded with another value
+        """Inverse of `to_dict`. A fixed template recorded with another value,
+        or a value of the wrong JSON type (`window` and `min_count` integers,
+        `use_gazetteers` a bool, `gazetteers` an object of string lists),
         raises DataError naming it; `use_gazetteers` false drops the lists."""
         for key, value in _FIXED_TEMPLATES.items():
             if data[key] != value:
@@ -97,10 +102,23 @@ class FeatureConfig:
                     f"feature_config records {key}={data[key]!r}, "
                     f"but this version implements only {value!r}"
                 )
+        gaz = data["gazetteers"]
+        string_lists = isinstance(gaz, dict) and all(
+            isinstance(words, list) and all(isinstance(w, str) for w in words)
+            for words in gaz.values()
+        )
+        for key, ok, kind in (
+            ("window", type(data["window"]) is int, "an integer"),  # not a bool
+            ("min_count", type(data["min_count"]) is int, "an integer"),
+            ("use_gazetteers", type(data["use_gazetteers"]) is bool, "a bool"),
+            ("gazetteers", string_lists, "an object of string lists"),
+        ):
+            if not ok:
+                raise DataError(f"feature_config {key} must be {kind}, got {data[key]!r}")
         return cls(
-            window=int(data["window"]),
-            gazetteers=data["gazetteers"] if data["use_gazetteers"] else {},
-            min_count=int(data["min_count"]),
+            window=data["window"],
+            gazetteers=gaz if data["use_gazetteers"] else {},
+            min_count=data["min_count"],
         )
 
 
@@ -242,117 +260,94 @@ _SURFACE_CACHE_SIZE = 1 << 14
 
 
 class FeatureIds:
-    """The inference path of `extract`: `rows(surfaces)` equals
-    `map(index.lookup_many, extract(surfaces, config))`, id for id, and
-    `keys` gives the same rows factored by surface, as `training_factors`
-    does for training.
+    """The inference path of `extract`, in the one key layout that
+    `training_factors` also uses: `keys(instances)` gives the rows of their
+    positions factored by surface, and each position's keys expand, in
+    template order, to `index.lookup_many` of its names.
 
-    Each distinct surface's known ids per window offset and its affix ids
-    are looked up once and cached across calls, so a row is assembled from
-    cached ids (CRFsuite's split of token attributes from the features they
-    fire); `keys` also caches them as one array per surface."""
+    One cache holds each distinct surface's key ids, looked up once: its
+    known ids at each window offset and its affix ids (CRFsuite's split of
+    token attributes from the features they fire)."""
 
     def __init__(self, index: FeatureIndex, config: FeatureConfig):
         self.index = index
         self.config = config
-        self._fixed = [
-            [index.lookup_many(names) for names in group] for group in _fixed_names(config)
-        ]
-        self._tokens: dict[str, tuple[list[list[int]], list[int]]] = {}
-        # surface -> the ids of its 2 * window + 2 keys, concatenated, and
-        # their sizes; a surface here is also in `_tokens`
-        self._keys: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # the fixed keys: bos, then eos, per window offset, then the buckets
-        self._fixed_keys = _key_arrays(list(itertools.chain.from_iterable(self._fixed)))
-        # a position's keys from the first keys of the padded slots: the
-        # slot at each window offset, and the center's for the affixes
-        self._offsets = np.array([*range(-config.window, config.window + 1), 0])
-        self._columns = np.arange(2 * config.window + 2)
-
-    def _look_up(self, s: str) -> tuple[list[list[int]], list[int]]:
-        """Cache and return the ids of a surface the cache does not hold."""
-        if len(self._tokens) >= _SURFACE_CACHE_SIZE:
-            self._tokens.clear()
-            self._keys.clear()
-        window, affixes = _token_names(s, self.config)
-        lookup = self.index.lookup_many
-        ids = self._tokens[s] = ([lookup(names) for names in window], lookup(affixes))
-        return ids
-
-    def rows(self, surfaces: Sequence[str]) -> Iterator[list[int]]:
-        cache = self._tokens
-        tokens = [cache.get(s) or self._look_up(s) for s in surfaces]
-        return _rows(tokens, *self._fixed)
+        # the fixed keys' ids: bos, then eos, per window offset, then the buckets
+        self._fixed = _key_arrays(
+            [index.lookup_many(names) for group in _fixed_names(config) for names in group]
+        )
+        # surface -> the ids of its 2 * window + 2 keys, concatenated, and their sizes
+        self._surfaces: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def keys(self, instances: Sequence[Sequence[str]]) -> tuple[sparse.csr_matrix, np.ndarray]:
         """The rows of every position of the instances, stacked one instance
-        after another, factored by surface as `H @ Xv`: returns `Xv`, each
-        key's ids, and H as a (P, 2 * window + 3) array of each position's
-        keys in template order (the token, bos or eos at each window offset,
-        the center's affixes, the position bucket). The keys are the fixed
-        ones (bos, then eos, per window offset, then the buckets), then the
-        2 * window + 2 keys of each distinct surface of the call, in the
-        order of first use: its ids at each offset, then its affix ids."""
-        width = 2 * self.config.window + 1
-        fixed_ids, fixed_sizes = self._fixed_keys
-        ids, sizes = [fixed_ids], [fixed_sizes]
+        after another, factored by surface as `training_factors` factors
+        them: returns `Xv`, each key's ids, and the (P, 2 * window + 3) key
+        array of `_factors`, over the fixed keys and then the keys of each
+        distinct surface of the call, in the order of first use."""
+        parts = [self._fixed]
         first = dict.fromkeys(itertools.chain.from_iterable(instances))  # a surface's first key
-        n_keys = n_fixed = len(fixed_sizes)
-        cache, keyed = self._tokens, self._keys
+        n_keys = len(self._fixed[1])
+        cache, lookup = self._surfaces, self.index.lookup_many
         for s in first:
             first[s] = n_keys
-            n_keys += width + 1
-            arrays = keyed.get(s)
+            n_keys += 2 * self.config.window + 2
+            arrays = cache.get(s)
             if arrays is None:
-                window, affixes = cache.get(s) or self._look_up(s)
-                arrays = keyed[s] = _key_arrays([*window, affixes])
-            ids.append(arrays[0])
-            sizes.append(arrays[1])
-        indptr = np.zeros(n_keys + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(sizes), out=indptr[1:])
-        cols = np.concatenate(ids)
-        xv = sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_keys, len(self.index)))
-
-        # each instance's first keys, padded with `window` bos (first key 0)
-        # and eos (first key `width`) slots on either side
-        pad = self.config.window
-        slots: list[int] = []
-        bucket: list[int] = []
-        for surfaces in instances:
-            slots += [0] * pad
-            slots += map(first.__getitem__, surfaces)
-            slots += [width] * pad
-            bucket += _buckets(len(surfaces))
-        slots_a = np.array(slots, dtype=np.intp)
-        tokens = np.flatnonzero(slots_a >= n_fixed)
-        keys = np.empty((len(tokens), width + 2), dtype=np.intp)
-        keys[:, :-1] = slots_a[tokens[:, None] + self._offsets] + self._columns
-        keys[:, -1] = bucket
-        keys[:, -1] += 2 * width
-        return xv, keys
+                if len(cache) >= _SURFACE_CACHE_SIZE:
+                    cache.clear()
+                window, affixes = _token_names(s, self.config)
+                arrays = cache[s] = _key_arrays([*map(lookup, window), lookup(affixes)])
+            parts.append(arrays)
+        ids, sizes = zip(*parts)
+        xv = ones_matrix(np.concatenate(ids), np.concatenate(sizes), len(self.index))
+        return xv, _factors(instances, first, self.config.window)
 
 
 def _key_arrays(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """The ids of the lists concatenated, and the lists' sizes."""
-    return (
-        np.array(list(itertools.chain.from_iterable(id_lists)), dtype=np.int32),
-        np.array([len(ids) for ids in id_lists], dtype=np.int64),
-    )
+    sizes = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    return np.fromiter(itertools.chain.from_iterable(id_lists), np.int32, sizes.sum()), sizes
 
 
-def id_matrix(id_lists: Iterable[Sequence[int]], features: Sized) -> sparse.csr_matrix:
-    """CSR matrix with one row per id list and `len(features)` columns,
-    holding 1 at each id of a row, in the row's order."""
-    indices = array("q")
-    indptr = array("q", [0])
-    for ids in id_lists:
-        indices.extend(ids)
-        indptr.append(len(indices))
-    cols = np.frombuffer(indices, np.int64)
+def ones_matrix(indices: np.ndarray, sizes: np.ndarray, n_columns: int) -> sparse.csr_matrix:
+    """CSR matrix of `n_columns` columns with a row of `sizes[r]` entries
+    per r, holding 1 at each of `indices`, in order, row after row."""
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
     return sparse.csr_matrix(
-        (np.ones(len(cols)), cols, np.frombuffer(indptr, np.int64)),
-        shape=(len(indptr) - 1, len(features)),
+        (np.ones(len(indices)), indices, indptr), shape=(len(sizes), n_columns)
     )
+
+
+def _factors(
+    instances: Sequence[Sequence[str]], first: Mapping[str, int], window: int
+) -> np.ndarray:
+    """The (P, 2 * window + 3) keys of every position of the instances, one
+    instance after another, in template order: the token, bos or eos at
+    each window offset, the center's affixes, the position bucket. The keys
+    are numbered as the fixed ones (bos, then eos, per window offset, then
+    the buckets), then the 2 * window + 2 keys of each surface from
+    `first[surface]` on: its ids at each offset, then its affix ids."""
+    width = 2 * window + 1
+    # each instance's first keys, padded with `window` bos (first key 0)
+    # and eos (first key `width`) slots on either side
+    slots: list[int] = []
+    bucket: list[int] = []
+    for surfaces in instances:
+        slots += [0] * window
+        slots += map(first.__getitem__, surfaces)
+        slots += [width] * window
+        bucket += _buckets(len(surfaces))
+    slots_a = np.array(slots, dtype=np.intp)
+    tokens = np.flatnonzero(slots_a >= 2 * width + len(_BUCKETS))
+    # a position's keys from the first keys of the padded slots: the slot
+    # at each window offset, and the center's for the affixes
+    offsets = np.array([*range(-window, window + 1), 0])
+    keys = np.empty((len(tokens), width + 2), dtype=np.intp)
+    keys[:, :-1] = slots_a[tokens[:, None] + offsets] + np.arange(width + 1)
+    keys[:, -1] = np.add(bucket, 2 * width)
+    return keys
 
 
 def build_index(feature_lists: Iterable[Sequence[str]], min_count: int = 1) -> FeatureIndex:
@@ -373,36 +368,28 @@ def training_factors(
     """The feature index of a training corpus, and its rows stacked as
     `H @ Xv`. A key is one name list a row draws on: a surface (or bos/eos)
     at one window offset, a surface's affixes, or a position bucket. `H`
-    picks each position's 2 * window + 3 keys and `Xv` holds each key's ids.
+    picks each position's 2 * window + 3 keys and `Xv` holds each key's ids,
+    in the layout of `_factors`, which `FeatureIds.keys` shares.
     A name occurs as often as the keys holding it, and the keys in the order
     the rows first use them hold the names in the order the rows do, so the
     index is `build_index(corpus_features(instances, config), min_count)`."""
-    keys: list[list[str]] = []
-
-    def columns(name_lists: list[list[str]]) -> list[list[int]]:
-        """One new key per name list, as `_rows` parts."""
-        keys.extend(name_lists)
-        return [[k] for k in range(len(keys) - len(name_lists), len(keys))]
-
-    fixed = [columns(group) for group in _fixed_names(config)]
-    tokens = {}
-    for s in dict.fromkeys(itertools.chain.from_iterable(instances)):
+    keys = [names for group in _fixed_names(config) for names in group]
+    first = dict.fromkeys(itertools.chain.from_iterable(instances))
+    for s in first:
+        first[s] = len(keys)
         window, affixes = _token_names(s, config)
-        tokens[s] = (columns(window), columns([affixes])[0])
-    h = id_matrix(
-        itertools.chain.from_iterable(
-            _rows([tokens[s] for s in surfaces], *fixed) for surfaces in instances
-        ),
-        keys,
-    )
-    used, first, uses = np.unique(h.indices, return_index=True, return_counts=True)
-    order = np.argsort(first)
+        keys += window
+        keys.append(affixes)
+    h = _factors(instances, first, config.window)
+    used, first_use, uses = np.unique(h, return_index=True, return_counts=True)
+    order = np.argsort(first_use)
     counts: Counter[str] = Counter()
     for k, n in zip(used[order].tolist(), uses[order].tolist()):
         for name in keys[k]:
             counts[name] += n
     index = FeatureIndex(tuple(n for n, c in counts.items() if c >= config.min_count))
-    return index, h, id_matrix(map(index.lookup_many, keys), index)
+    xv = ones_matrix(*_key_arrays([index.lookup_many(names) for names in keys]), len(index))
+    return index, ones_matrix(h.ravel(), np.full(len(h), h.shape[1]), len(keys)), xv
 
 
 def corpus_features(

@@ -42,14 +42,20 @@ def random_model(
     )
 
 
+def id_matrix(id_lists, n_features: int) -> sparse.csr_matrix:
+    """The reference rows: a CSR matrix with one row per id list and
+    `n_features` columns, holding 1 at each id of a row, in the row's order."""
+    id_lists = [list(ids) for ids in id_lists]
+    indptr = np.cumsum([0] + [len(ids) for ids in id_lists])
+    indices = np.array([i for ids in id_lists for i in ids], dtype=np.int64)
+    return sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(len(id_lists), n_features)
+    )
+
+
 def instance(rows, n_feats: int, gold=None):
     """A VectorizedInstance whose position t has the feature ids rows[t]."""
-    indptr = np.cumsum([0] + [len(r) for r in rows])
-    indices = np.array([i for r in rows for i in r], dtype=np.int64)
-    x = sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(len(rows), n_feats)
-    )
-    return crf.VectorizedInstance(x=x, gold=gold)
+    return crf.VectorizedInstance(x=id_matrix(rows, n_feats), gold=gold)
 
 
 def emissions(inst, model) -> np.ndarray:

@@ -171,6 +171,17 @@ MALFORMED_MODELS = {
     "tags_disagree_with_labels": (
         lambda p: _gz({**p, "tags": ["B-foo", *p["tags"][1:]]}), "tag set"
     ),
+    # feature_config values of another JSON type, which a cast would accept
+    "window_fraction": (lambda p: _feature_config(p, window=2.5), "window"),
+    "window_bool": (lambda p: _feature_config(p, window=True), "window"),
+    "window_string": (lambda p: _feature_config(p, window="2"), "window"),
+    "min_count_fraction": (lambda p: _feature_config(p, min_count=1.9), "min_count"),
+    "use_gazetteers_string": (
+        lambda p: _feature_config(p, use_gazetteers="no"), "use_gazetteers"
+    ),
+    "gazetteer_words_string": (
+        lambda p: _feature_config(p, gazetteers={"months": "january"}), "gazetteers"
+    ),
 }
 
 

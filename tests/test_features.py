@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 import refparse as rp
-from refparse import features
+from oracles import id_matrix
+from refparse import crf, features
 from refparse.errors import UsageError
 from refparse.features import (
     FeatureConfig,
@@ -12,7 +13,6 @@ from refparse.features import (
     build_index,
     corpus_features,
     extract,
-    id_matrix,
     training_factors,
     word_shape,
 )
@@ -207,12 +207,23 @@ def test_cached_rows_equal_looked_up_names(config):
     corpus = _mixed_surfaces()
     # index on the A half, so the B half holds names the index does not know
     index = build_index(corpus_features(corpus[:40], config), config.min_count)
-    ids = FeatureIds(index, config)
+    model = crf.empty_model(["author"], index, config)
     for surfaces in [GOLDEN_SURFACES] + corpus + corpus[::-1]:  # twice: the cache warm
-        assert list(ids.rows(surfaces)) == [
-            index.lookup_many(names) for names in extract(surfaces, config)
-        ]
+        x = crf.vectorize(surfaces, model).x
+        assert x.shape == (len(surfaces), len(index))
+        assert [
+            x.indices[x.indptr[t] : x.indptr[t + 1]].tolist() for t in range(len(surfaces))
+        ] == [index.lookup_many(names) for names in extract(surfaces, config)]
+        np.testing.assert_array_equal(x.data, 1.0)
 
+
+def _key_matrix(keys, n_keys):
+    """The CSR matrix that picks each position's keys, one row per position."""
+    n, width = keys.shape
+    return sparse.csr_matrix(
+        (np.ones(keys.size), keys.ravel(), np.arange(0, keys.size + 1, width)),
+        shape=(n, n_keys),
+    )
 
 
 @CONFIGS
@@ -229,12 +240,8 @@ def test_keys_multiply_to_the_cached_rows(config):
         assert keys.shape == (n, width) and xv.shape[1] == len(index)
         distinct = len({s for surfaces in batch for s in surfaces})
         assert xv.shape[0] == 2 * (width - 2) + 5 + distinct * (width - 1)
-        h = sparse.csr_matrix(
-            (np.ones(keys.size), keys.ravel(), np.arange(0, keys.size + 1, width)),
-            shape=(n, xv.shape[0]),
-        )
-        rows = id_matrix([row for surfaces in batch for row in ids.rows(surfaces)], index)
-        assert ((h @ xv) != rows).nnz == 0
+        rows = id_matrix(map(index.lookup_many, corpus_features(batch, config)), len(index))
+        assert ((_key_matrix(keys, xv.shape[0]) @ xv) != rows).nnz == 0
 
 
 @CONFIGS
@@ -249,5 +256,15 @@ def test_factors_multiply_to_the_index_rows(config):
     assert h.shape == (len(tokens), xv.shape[0]) and xv.shape[1] == len(index)
     assert set(h.data) == {1.0} and set(h.getnnz(axis=1)) == {2 * config.window + 3}
     assert xv.shape[0] < len(tokens)
-    rows = id_matrix(map(index.lookup_many, corpus_features(corpus, config)), index)
+    rows = id_matrix(map(index.lookup_many, corpus_features(corpus, config)), len(index))
     assert ((h @ xv) != rows).nnz == 0
+
+    # inference factors the corpus as training does: the same keys' ids,
+    # and each position's keys are the row of h
+    infer_xv, keys = FeatureIds(index, config).keys(corpus)
+    for part in ("indices", "indptr", "data"):
+        np.testing.assert_array_equal(getattr(infer_xv, part), getattr(xv, part))
+    assert infer_xv.shape == xv.shape
+    np.testing.assert_array_equal(keys.ravel(), h.indices)
+    np.testing.assert_array_equal(np.arange(0, keys.size + 1, keys.shape[1]), h.indptr)
+    assert (_key_matrix(keys, h.shape[1]) != h).nnz == 0
