@@ -815,6 +815,9 @@ def load_model(path) -> CrfModel:
                 f"tokenizer_config records {payload['tokenizer_config']!r}, "
                 f"but this version implements only {_TOKENIZER_CONFIG!r}"
             )
+        names = payload["feature_names"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise DataError("feature_names must be a list of strings")
         tmask, bmask = _structure_masks(tags)
         transition = _decode_array(payload["transition"])
         transition[~tmask] = NEG_INF
@@ -827,7 +830,7 @@ def load_model(path) -> CrfModel:
             transition=transition,
             begin=begin,
             end=_decode_array(payload["end"]),
-            feature_index=FeatureIndex(names=tuple(payload["feature_names"])),
+            feature_index=FeatureIndex(names=tuple(names)),
             feature_config=FeatureConfig.from_dict(payload["feature_config"]),
         )
     except (

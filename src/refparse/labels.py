@@ -71,26 +71,27 @@ def tag_field(tag: str) -> str | None:
     return tag[2:]
 
 
-def is_valid_tag(tag: str) -> bool:
-    if tag == OUT:
-        return True
-    return len(tag) > 2 and tag[0] in ("B", "I") and tag[1] == "-" and tag[2:] in _FIELD_SET
+# each tag -> the tags it may follow: None for O and B tags, which may
+# follow any tag; I-f continues only a B-f/I-f run
+_PREDECESSORS: dict[str, tuple[str, str] | None] = {OUT: None}
+_PREDECESSORS.update({f"B-{f}": None for f in FIELD_LABELS})
+_PREDECESSORS.update({f"I-{f}": (f"B-{f}", f"I-{f}") for f in FIELD_LABELS})
 
 
 def check_iob2(tags: Sequence[str]) -> None:
     """Raise StructuralError if the tag sequence is not IOB2 well-formed."""
     prev = OUT
     for i, tag in enumerate(tags):
-        if not is_valid_tag(tag):
-            raise StructuralError(f"invalid tag {tag!r} at position {i}")
-        if tag_kind(tag) == "I":
-            field = tag_field(tag)
-            if tag_kind(prev) == "O" or tag_field(prev) != field:
-                raise StructuralError(
-                    f"I-{field} at position {i} does not continue a B-{field}/I-{field} run"
-                )
+        try:
+            allowed = _PREDECESSORS[tag]
+        except (KeyError, TypeError):  # TypeError: an unhashable tag
+            raise StructuralError(f"invalid tag {tag!r} at position {i}") from None
+        if allowed is not None and prev not in allowed:
+            field = tag[2:]
+            raise StructuralError(
+                f"I-{field} at position {i} does not continue a B-{field}/I-{field} run"
+            )
         prev = tag
-    return None
 
 
 class Token(NamedTuple):
@@ -119,15 +120,14 @@ class LabeledReference:
             raise StructuralError(
                 f"{len(self.tokens)} tokens vs {len(self.tags)} tags"
             )
+        raw = self.raw
         prev_end = 0
-        for i, tok in enumerate(self.tokens):
-            if tok.start < prev_end:
+        for i, (surface, start, end) in enumerate(self.tokens):
+            if start < prev_end:
                 raise StructuralError(f"token {i} overlaps its predecessor")
-            if self.raw[tok.start : tok.end] != tok.surface:
-                raise StructuralError(
-                    f"token {i} surface {tok.surface!r} != raw[{tok.start}:{tok.end}]"
-                )
-            prev_end = tok.end
+            if raw[start:end] != surface:
+                raise StructuralError(f"token {i} surface {surface!r} != raw[{start}:{end}]")
+            prev_end = end
         check_iob2(self.tags)
 
     def surfaces(self) -> tuple[str, ...]:
@@ -135,7 +135,7 @@ class LabeledReference:
 
     def fields(self) -> set[str]:
         """The set of field labels carried by this instance."""
-        return {tag_field(t) for t in self.tags if t != OUT}  # type: ignore[misc]
+        return {t[2:] for t in set(self.tags) if t != OUT}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Independent oracles shared by the CRF tests and the acceptance suite.
 
 Everything here recomputes quantities by brute force (exhaustive path
-enumeration, direct summation, a token-by-span scan) so the tests never
-trust the code path they check. Enumeration is vectorized over the full path table to keep hundreds
-of oracle comparisons fast.
+enumeration, direct summation, a token-by-span scan, a character-by-character
+tokenizer) so the tests never trust the code path they check. Enumeration is
+vectorized over the full path table to keep hundreds of oracle comparisons
+fast.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy import sparse
 from refparse import crf
 from refparse.errors import StructuralError
 from refparse.features import FeatureConfig, FeatureIndex
-from refparse.labels import OUT, Token, make_tag
+from refparse.labels import FIELD_LABELS, OUT, Token, make_tag
 
 FIELDS = ("author", "title", "date")
 
@@ -156,6 +157,56 @@ def enumerate_all(inst, model):
     for t in range(length):
         marginal[t] = np.bincount(paths[:, t], weights=weights, minlength=n_tags)
     return logz, best, marginal
+
+
+def check_iob2(tags: Sequence[str]) -> None:
+    """The IOB2 check rule by rule: every tag is O, B-f or I-f for a known
+    field f, and I-f follows B-f or I-f."""
+    prev = OUT
+    for i, tag in enumerate(tags):
+        valid = tag == OUT or (
+            isinstance(tag, str)
+            and tag[:2] in ("B-", "I-")
+            and tag[2:] in FIELD_LABELS
+        )
+        if not valid:
+            raise StructuralError(f"invalid tag {tag!r} at position {i}")
+        if tag[0] == "I":
+            field = tag[2:]
+            if prev == OUT or prev[2:] != field:
+                raise StructuralError(
+                    f"I-{field} at position {i} does not continue a B-{field}/I-{field} run"
+                )
+        prev = tag
+
+
+def _char_class(ch: str) -> str:
+    if ch.isspace():
+        return "space"
+    if ch.isalpha():
+        return "alpha"
+    if ch.isdigit():
+        return "digit"
+    return "punct"
+
+
+def tokenize(raw: str) -> tuple[Token, ...]:
+    """The tokenizer one character at a time: a token ends where the class
+    changes, and every "punct" character stands alone."""
+    tokens: list[Token] = []
+    start = -1
+    cls = "space"
+    for i, ch in enumerate(raw):
+        c = _char_class(ch)
+        if start >= 0 and (c != cls or c == "punct"):
+            tokens.append(Token(raw[start:i], start, i))
+            start = -1
+        if c != "space" and start < 0:
+            start = i
+        cls = c
+    if start >= 0:
+        tokens.append(Token(raw[start:], start, len(raw)))
+    return tuple(tokens)
 
 
 def tags_from_spans(

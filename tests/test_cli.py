@@ -182,6 +182,9 @@ MALFORMED_MODELS = {
     "gazetteer_words_string": (
         lambda p: _feature_config(p, gazetteers={"months": "january"}), "gazetteers"
     ),
+    # as many feature names as emission rows, so only their type is wrong
+    "feature_names_ints": (lambda p: _gz({**p, "feature_names": [1, 2]}), "feature_names"),
+    "feature_names_string": (lambda p: _gz({**p, "feature_names": "ab"}), "feature_names"),
 }
 
 

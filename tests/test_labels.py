@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import refparse as rp
 from refparse.errors import StructuralError
 from refparse.labels import (
@@ -106,3 +107,82 @@ def test_labeled_reference_validates_offsets():
         tags=("B-title", "O"),
     )
     assert inst.fields() == {"title"}
+
+
+def _message(fn, *args, **kwargs):
+    with pytest.raises(StructuralError) as caught:
+        fn(*args, **kwargs)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "tags, message",
+    [
+        (["O", "X-title"], "invalid tag 'X-title' at position 1"),
+        (["B-nonsense"], "invalid tag 'B-nonsense' at position 0"),
+        (["O", "B-title", "o"], "invalid tag 'o' at position 2"),
+        (["B-title", 1], "invalid tag 1 at position 1"),
+        ([None], "invalid tag None at position 0"),
+        ([["B-title"]], "invalid tag ['B-title'] at position 0"),
+        (["I-author"], "I-author at position 0 does not continue a B-author/I-author run"),
+        (["O", "I-date"], "I-date at position 1 does not continue a B-date/I-date run"),
+        (
+            ["B-title", "I-title", "I-author"],
+            "I-author at position 2 does not continue a B-author/I-author run",
+        ),
+    ],
+    ids=[
+        "unknown_kind",
+        "unknown_field",
+        "lowercase_o",
+        "int",
+        "none",
+        "unhashable",
+        "i_opens",
+        "i_after_o",
+        "i_after_other_field",
+    ],
+)
+def test_check_iob2_messages(tags, message):
+    assert _message(check_iob2, tags) == message
+
+
+TAG_OR_NOT = st.sampled_from(
+    ["O", "B-title", "I-title", "B-date", "I-date", "I-note", "X-title", "B-", "I", "", 0]
+)
+
+
+@given(st.lists(TAG_OR_NOT, max_size=8))
+def test_check_iob2_matches_rule_by_rule_oracle(tags):
+    def outcome(check):
+        try:
+            return check(tags)
+        except StructuralError as exc:
+            return str(exc)
+
+    assert outcome(check_iob2) == outcome(oracles.check_iob2)
+
+
+@pytest.mark.parametrize(
+    "raw, tokens, tags, message",
+    [
+        ("ab", (rp.Token("a", 0, 1),), ("O", "O"), "1 tokens vs 2 tags"),
+        (
+            "abc",
+            (rp.Token("ab", 0, 2), rp.Token("bc", 1, 3)),
+            ("O", "O"),
+            "token 1 overlaps its predecessor",
+        ),
+        ("ab", (rp.Token("b", 0, 1),), ("O",), "token 0 surface 'b' != raw[0:1]"),
+        (
+            "a b",
+            (rp.Token("a", 0, 1), rp.Token("b", 2, 3)),
+            ("O", "I-title"),
+            "I-title at position 1 does not continue a B-title/I-title run",
+        ),
+        ("a", (rp.Token("a", 0, 1),), (7,), "invalid tag 7 at position 0"),
+    ],
+    ids=["count", "overlap", "surface", "iob2", "tag_type"],
+)
+def test_labeled_reference_messages(raw, tokens, tags, message):
+    assert _message(rp.LabeledReference, raw=raw, tokens=tokens, tags=tags) == message

@@ -30,6 +30,44 @@ def test_unicode_kept_verbatim():
     assert surfaces("Müller–Brown") == ["Müller", "–", "Brown"]
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x\u00b2 2\u00b2", ["x", "\u00b2", "2\u00b2"]),  # superscript two is a digit
+        ("1\u00bd\u00bd", ["1", "\u00bd", "\u00bd"]),  # one half is numeric, not a digit
+        ("1\u0663", ["1\u0663"]),  # Arabic-Indic three is a digit
+        ("a\x1cb", ["a", "b"]),  # the file separator is whitespace
+        ("a_b", ["a", "_", "b"]),
+        ("\u01c5x", ["\u01c5x"]),  # a titlecase letter
+        ("e\u0301x", ["e", "\u0301", "x"]),  # a combining mark stands alone
+    ],
+    ids=[
+        "superscript_two",
+        "one_half",
+        "arabic_indic_three",
+        "file_separator",
+        "underscore",
+        "titlecase_dz",
+        "combining_acute",
+    ],
+)
+def test_character_classes(text, expected):
+    assert surfaces(text) == expected
+    assert tokenize(text) == oracles.tokenize(text)
+
+
+@settings(max_examples=400)
+@given(st.text())
+def test_tokenize_matches_character_oracle(text):
+    assert tokenize(text) == oracles.tokenize(text)
+
+
+def test_tokens_are_tokens():
+    (token,) = tokenize(" ab ")
+    assert type(token) is Token
+    assert (token.surface, token.start, token.end) == ("ab", 1, 3)
+
+
 @given(st.text(max_size=80))
 def test_offsets_reconstruct_raw(text):
     tokens = tokenize(text)
