@@ -251,12 +251,12 @@ def vectorize(
     """Map one token sequence (and optionally its gold tags) onto the model's
     feature and tag ids. Unknown features are dropped; unknown gold tags are
     a data error naming the instance."""
-    xv, keys = model.feature_ids.keys([surfaces])
+    ids, key_sizes, keys = model.feature_ids.keys([surfaces])
     # a position's ids are its keys' ids, key after key: the keys' ranges
-    # of xv.indices, laid end to end
-    sizes = np.diff(xv.indptr)[keys].ravel()
-    shift = xv.indptr[keys].ravel() - (np.cumsum(sizes) - sizes)
-    cols = xv.indices[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
+    # of ids, laid end to end
+    sizes = key_sizes[keys].ravel()
+    shift = (np.cumsum(key_sizes) - key_sizes)[keys].ravel() - (np.cumsum(sizes) - sizes)
+    cols = ids[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
     x = ones_matrix(cols, sizes.reshape(keys.shape).sum(axis=1), len(model.feature_index))
     gold = None
     if gold_tags is not None:
@@ -497,12 +497,14 @@ def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
     return tuple(model.tags[i] for i in best.tolist())
 
 
-def _emissions(model: CrfModel, xv: sparse.csr_matrix, keys: np.ndarray) -> np.ndarray:
+def _emissions(
+    model: CrfModel, ids: np.ndarray, sizes: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
     """(P, L) emission scores of the positions whose keys are the rows of
-    `keys`, with the keys' ids in `xv`, as `FeatureIds.keys` gives them: one
-    product scores the keys, then each key column's scores are gathered and
-    added, in column order."""
-    scores = xv @ model.emission
+    `keys`, with the keys' ids and sizes as `FeatureIds.keys` gives them:
+    one product scores the keys, then each key column's scores are gathered
+    and added, in column order."""
+    scores = ones_matrix(ids, sizes, len(model.feature_index)) @ model.emission
     e = scores[keys[:, 0]]
     for column in keys.T[1:]:
         e += scores[column]
@@ -517,10 +519,10 @@ def _decode(model: CrfModel, surfaces: Sequence[Sequence[str]]) -> list[tuple[st
     lengths = np.array([len(s) for s in surfaces], dtype=np.int64)
     kept = np.flatnonzero(lengths).tolist()
     if kept:
-        xv, keys = model.feature_ids.keys([surfaces[i] for i in kept])
+        ids, sizes, keys = model.feature_ids.keys([surfaces[i] for i in kept])
         pack = _Packing(lengths[kept])
         best = np.empty(len(pack.source), dtype=np.intp)
-        best[pack.source] = _viterbi(_emissions(model, xv, keys[pack.source]), pack, model)
+        best[pack.source] = _viterbi(_emissions(model, ids, sizes, keys[pack.source]), pack, model)
         names = [model.tags[i] for i in best.tolist()]
         end = 0
         for i in kept:
@@ -625,31 +627,21 @@ def _batch_nll_grad(
     return nll, CrfGradient(grad_emission, grad_trans, grad_begin, grad_end)
 
 
-def _stack_rows(rows: Sequence[sparse.csr_matrix], n_features: int) -> sparse.csr_matrix:
-    """The CSR matrices of `n_features` columns stacked one after another,
-    as `sparse.vstack` stacks them, by concatenating their arrays."""
-    if any(x.shape[1] != n_features for x in rows):
-        raise StructuralError(f"instance rows do not have the model's {n_features} features")
-    starts = np.cumsum([0] + [x.nnz for x in rows], dtype=np.int64)  # no overflow
-    indptr = np.concatenate([starts[:1]] + [x.indptr[1:] + n for x, n in zip(rows, starts)])
-    return sparse.csr_matrix(
-        (np.concatenate([x.data for x in rows]), np.concatenate([x.indices for x in rows]), indptr),
-        shape=(len(indptr) - 1, n_features),
-    )
-
-
 def nll_and_gradient(
     instances: Sequence[VectorizedInstance], model: CrfModel, l2: float = 0.0
 ) -> tuple[float, CrfGradient]:
     """Regularized negative log-likelihood of the batch and its gradient."""
     if not instances:
         raise UsageError("batch must be non-empty")
+    n_features = len(model.feature_index)
     for inst in instances:
         if inst.gold is None:
             raise UsageError("batch instances need gold tags")
         if len(inst) == 0:
             raise StructuralError("zero-length instance in batch")
-    x = _stack_rows([inst.x for inst in instances], len(model.feature_index))
+        if inst.x.shape[1] != n_features:
+            raise StructuralError(f"instance rows do not have the model's {n_features} features")
+    x = sparse.vstack([inst.x for inst in instances], format="csr")
     batch = _Batch(
         x,
         sparse.identity(x.shape[1], format="csr"),

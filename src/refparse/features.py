@@ -279,12 +279,15 @@ class FeatureIds:
         # surface -> the ids of its 2 * window + 2 keys, concatenated, and their sizes
         self._surfaces: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def keys(self, instances: Sequence[Sequence[str]]) -> tuple[sparse.csr_matrix, np.ndarray]:
+    def keys(
+        self, instances: Sequence[Sequence[str]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows of every position of the instances, stacked one instance
         after another, factored by surface as `training_factors` factors
-        them: returns `Xv`, each key's ids, and the (P, 2 * window + 3) key
-        array of `_factors`, over the fixed keys and then the keys of each
-        distinct surface of the call, in the order of first use."""
+        them: returns each key's ids laid end to end, each key's number of
+        ids (`ones_matrix` of the two is `Xv`), and the (P, 2 * window + 3)
+        key array of `_factors`, over the fixed keys and then the keys of
+        each distinct surface of the call, in the order of first use."""
         parts = [self._fixed]
         first = dict.fromkeys(itertools.chain.from_iterable(instances))  # a surface's first key
         n_keys = len(self._fixed[1])
@@ -300,8 +303,8 @@ class FeatureIds:
                 arrays = cache[s] = _key_arrays([*map(lookup, window), lookup(affixes)])
             parts.append(arrays)
         ids, sizes = zip(*parts)
-        xv = ones_matrix(np.concatenate(ids), np.concatenate(sizes), len(self.index))
-        return xv, _factors(instances, first, self.config.window)
+        keys = _factors(instances, first, self.config.window)
+        return np.concatenate(ids), np.concatenate(sizes), keys
 
 
 def _key_arrays(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:

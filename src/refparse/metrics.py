@@ -1,10 +1,15 @@
 """Per-field precision/recall/F1 at token and field granularity.
 
+`evaluate` walks each (gold, predicted) reference pair once and counts both
+levels; `token_report` and `field_report` return one level of it. Both
+raise StructuralError when predictions are misaligned or not IOB2.
+
 Token level collapses B/I to the bare field: a token counts as TP for field
 f when gold and prediction both carry f. Field level derives maximal
-segments on both sides and counts a predicted segment as TP iff its
-normalized text exactly matches a not-yet-matched gold segment of the same
-field within the same reference (greedy left-to-right matching).
+segments on both sides and matches them per reference as multisets of
+(field, normalized text) keys: a predicted segment is TP iff an equal gold
+key is still unmatched, which it then uses up. The counts equal greedy
+left-to-right matching's, as that rule compares nothing but the key.
 
 Conventions, stated because they move macro averages on sparse fields:
 precision (or recall) is 0 when its denominator is 0 while the other side
@@ -18,11 +23,11 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import Corpus
 from .errors import StructuralError, UsageError
-from .labels import _segments, segments_from_tags, tag_field
+from .labels import _segments, segments_from_tags
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,19 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def _level_report(
-    fields: Sequence[str], tp: Counter, fp: Counter, fn: Counter
-) -> LevelReport:
+def _level_report(fields: Sequence[str], confusion: Counter) -> LevelReport:
+    """Scores from (gold field, predicted field) -> count, where "" is O at
+    token level and no segment at field level: equal fields are a TP, else
+    an FP of the predicted field and an FN of the gold one; "" is dropped."""
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for (g, p), n in confusion.items():
+        if g == p:
+            tp[g] += n
+        else:
+            fp[p] += n
+            fn[g] += n
+    for counts in (tp, fp, fn):
+        del counts[""]
     per_field: dict[str, FieldScore] = {}
     f1_with_support = []
     for f in fields:
@@ -69,88 +84,53 @@ def _level_report(
         per_field[f] = FieldScore(precision=p, recall=r, f1=f1, support=support)
         if support > 0:
             f1_with_support.append(f1)
-    micro_p, micro_r, micro_f1 = _prf(
-        sum(tp.values()), sum(fp.values()), sum(fn.values())
-    )
+    micro = _prf(sum(tp.values()), sum(fp.values()), sum(fn.values()))
     macro_f1 = sum(f1_with_support) / len(f1_with_support) if f1_with_support else 0.0
-    return LevelReport(
-        per_field=per_field,
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=micro_f1,
-        macro_f1=macro_f1,
-    )
+    return LevelReport(per_field, *micro, macro_f1)
 
 
-def _check_alignment(gold: Corpus, pred: Sequence[Sequence[str]]) -> None:
+def evaluate(gold: Corpus, pred: Sequence[Sequence[str]]) -> EvalReport:
+    """Token- and field-level report in one walk over the (gold, predicted) pairs."""
     if len(pred) != len(gold.instances):
-        raise StructuralError(
-            f"{len(pred)} predictions for {len(gold.instances)} gold instances"
-        )
+        raise StructuralError(f"{len(pred)} predictions for {len(gold.instances)} gold instances")
+    tag_pairs: Counter = Counter()
+    fields: Counter = Counter()
     for i, (inst, tags) in enumerate(zip(gold.instances, pred)):
         if len(tags) != len(inst.tokens):
             raise StructuralError(
                 f"instance {i}: {len(tags)} predicted tags for {len(inst.tokens)} tokens"
             )
+        predicted = segments_from_tags(tags, inst.tokens)
+        tag_pairs.update(zip(inst.tags, tags))
+        # a LabeledReference's tags were checked when it was built
+        unmatched = Counter((s.field, s.text) for s in _segments(inst.tags, inst.tokens))
+        for s in predicted:
+            key = (s.field, s.text)
+            if unmatched[key]:
+                unmatched[key] -= 1
+                fields[s.field, s.field] += 1
+            else:
+                fields["", s.field] += 1
+        for (f, _), n in unmatched.items():
+            fields[f, ""] += n
+    tokens: Counter = Counter()
+    for (g, p), n in tag_pairs.items():  # a tag's field is its [2:], "" for O
+        tokens[g[2:], p[2:]] += n
+    return EvalReport(
+        token=_level_report(gold.labels, tokens),
+        field=_level_report(gold.labels, fields),
+        instances=len(gold.instances),
+    )
 
 
 def token_report(gold: Corpus, pred: Sequence[Sequence[str]]) -> LevelReport:
-    """Token-level scores with B/I collapsed to the bare field."""
-    _check_alignment(gold, pred)
-    tp: Counter = Counter()
-    fp: Counter = Counter()
-    fn: Counter = Counter()
-    for inst, tags in zip(gold.instances, pred):
-        for g, p in zip(inst.tags, tags):
-            gf, pf = tag_field(g), tag_field(p)
-            if gf == pf:
-                if gf is not None:
-                    tp[gf] += 1
-            else:
-                if pf is not None:
-                    fp[pf] += 1
-                if gf is not None:
-                    fn[gf] += 1
-    return _level_report(gold.labels, tp, fp, fn)
+    """`evaluate`'s token level: B/I collapsed to the bare field."""
+    return evaluate(gold, pred).token
 
 
 def field_report(gold: Corpus, pred: Sequence[Sequence[str]]) -> LevelReport:
-    """Segment-level scores under the exact normalized-text match criterion."""
-    _check_alignment(gold, pred)
-    tp: Counter = Counter()
-    fp: Counter = Counter()
-    fn: Counter = Counter()
-    for inst, tags in zip(gold.instances, pred):
-        # a LabeledReference's tags were checked when it was built
-        gold_segs = _segments(inst.tags, inst.tokens)
-        pred_segs = segments_from_tags(tuple(tags), inst.tokens)
-        unmatched = list(gold_segs)
-        for seg in pred_segs:
-            hit = next(
-                (
-                    g
-                    for g in unmatched
-                    if g.field == seg.field and g.text == seg.text
-                ),
-                None,
-            )
-            if hit is not None:
-                unmatched.remove(hit)
-                tp[seg.field] += 1
-            else:
-                fp[seg.field] += 1
-        for g in unmatched:
-            fn[g.field] += 1
-    return _level_report(gold.labels, tp, fp, fn)
-
-
-def evaluate(gold: Corpus, pred: Sequence[Sequence[str]]) -> EvalReport:
-    """Token- and field-level report in one pass."""
-    return EvalReport(
-        token=token_report(gold, pred),
-        field=field_report(gold, pred),
-        instances=len(gold.instances),
-    )
+    """`evaluate`'s segment level, under the exact normalized-text match criterion."""
+    return evaluate(gold, pred).field
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +189,25 @@ CSV_SCHEMA = "refparse-report-v1"
 _CSV_COLUMNS = ("schema", "level", "field", "precision", "recall", "f1", "support")
 
 
+def _rows(report: EvalReport) -> Iterator[tuple]:
+    """(level, field, P, R, F1, support) for each field of a level, then the
+    level's aggregates, token level first. A value an aggregate lacks is
+    None; an aggregate's support is the instance count."""
+    for name, level in (("token", report.token), ("field", report.field)):
+        for f, s in level.per_field.items():
+            yield name, f, s.precision, s.recall, s.f1, s.support
+        micro = (level.micro_precision, level.micro_recall, level.micro_f1)
+        yield name, "micro-avg", *micro, report.instances
+        yield name, "macro-avg", None, None, level.macro_f1, report.instances
+
+
 def report_rows(report: EvalReport) -> list[dict]:
     """Flatten a report into CSV rows (one per field x level, plus
     micro/macro aggregate rows)."""
-    rows: list[dict] = []
-    for level_name, level in (("token", report.token), ("field", report.field)):
-        for f, score in level.per_field.items():
-            rows.append(
-                {
-                    "schema": CSV_SCHEMA,
-                    "level": level_name,
-                    "field": f,
-                    "precision": f"{score.precision:.6f}",
-                    "recall": f"{score.recall:.6f}",
-                    "f1": f"{score.f1:.6f}",
-                    "support": str(score.support),
-                }
-            )
-        rows.append(
-            {
-                "schema": CSV_SCHEMA,
-                "level": level_name,
-                "field": "micro-avg",
-                "precision": f"{level.micro_precision:.6f}",
-                "recall": f"{level.micro_recall:.6f}",
-                "f1": f"{level.micro_f1:.6f}",
-                "support": str(report.instances),
-            }
-        )
-        rows.append(
-            {
-                "schema": CSV_SCHEMA,
-                "level": level_name,
-                "field": "macro-avg",
-                "precision": "",
-                "recall": "",
-                "f1": f"{level.macro_f1:.6f}",
-                "support": str(report.instances),
-            }
-        )
+    rows = []
+    for level, f, *prf, support in _rows(report):
+        values = ("" if v is None else f"{v:.6f}" for v in prf)
+        rows.append(dict(zip(_CSV_COLUMNS, (CSV_SCHEMA, level, f, *values, str(support)))))
     return rows
 
 
@@ -264,26 +224,16 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 
 def format_report_table(report: EvalReport, title: str = "") -> str:
-    """Human-readable two-level table."""
-    lines = []
-    if title:
-        lines.append(title)
+    """Human-readable two-level table; it leaves the aggregates' support
+    blank."""
     header = f"{'field':<14} {'level':<6} {'P':>8} {'R':>8} {'F1':>8} {'support':>8}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for level_name, level in (("token", report.token), ("field", report.field)):
-        for f, s in level.per_field.items():
-            lines.append(
-                f"{f:<14} {level_name:<6} {s.precision:>8.4f} {s.recall:>8.4f} "
-                f"{s.f1:>8.4f} {s.support:>8d}"
-            )
-        lines.append(
-            f"{'micro-avg':<14} {level_name:<6} {level.micro_precision:>8.4f} "
-            f"{level.micro_recall:>8.4f} {level.micro_f1:>8.4f} {'':>8}"
-        )
-        lines.append(
-            f"{'macro-avg':<14} {level_name:<6} {'':>8} {'':>8} "
-            f"{level.macro_f1:>8.4f} {'':>8}"
-        )
-        lines.append("-" * len(header))
+    rule = "-" * len(header)
+    lines = [title] if title else []
+    lines += [header, rule]
+    for level, f, *prf, support in _rows(report):
+        cells = ["" if v is None else f"{v:.4f}" for v in prf]
+        cells.append("" if f in ("micro-avg", "macro-avg") else str(support))
+        lines.append(f"{f:<14} {level:<6} " + " ".join(f"{c:>8}" for c in cells))
+        if f == "macro-avg":
+            lines.append(rule)
     return "\n".join(lines)

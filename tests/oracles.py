@@ -2,23 +2,24 @@
 
 Everything here recomputes quantities by brute force (exhaustive path
 enumeration, direct summation, a token-by-span scan, a character-by-character
-tokenizer) so the tests never trust the code path they check. Enumeration is
-vectorized over the full path table to keep hundreds of oracle comparisons
-fast.
+tokenizer, greedy segment matching) so the tests never trust the code path
+they check. Enumeration is vectorized over the full path table to keep
+hundreds of oracle comparisons fast.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from refparse import crf
+from refparse import crf, metrics
 from refparse.errors import StructuralError
 from refparse.features import FeatureConfig, FeatureIndex
-from refparse.labels import FIELD_LABELS, OUT, Token, make_tag
+from refparse.labels import FIELD_LABELS, OUT, Token, make_tag, segments_from_tags
 
 FIELDS = ("author", "title", "date")
 
@@ -157,6 +158,29 @@ def enumerate_all(inst, model):
     for t in range(length):
         marginal[t] = np.bincount(paths[:, t], weights=weights, minlength=n_tags)
     return logz, best, marginal
+
+
+def field_report(gold, pred: Sequence[Sequence[str]]) -> metrics.LevelReport:
+    """Field-level scores by greedy left-to-right matching: each predicted
+    segment takes the first not-yet-matched gold segment of its reference
+    with the same field and normalized text (a TP), or is an FP; the gold
+    segments left over are FNs."""
+    confusion: Counter = Counter()  # as metrics._level_report reads it
+    for inst, tags in zip(gold.instances, pred):
+        unmatched = segments_from_tags(inst.tags, inst.tokens)
+        for seg in segments_from_tags(tags, inst.tokens):
+            hit = next(
+                (g for g in unmatched if g.field == seg.field and g.text == seg.text),
+                None,
+            )
+            if hit is not None:
+                unmatched.remove(hit)
+                confusion[seg.field, seg.field] += 1
+            else:
+                confusion["", seg.field] += 1
+        for g in unmatched:
+            confusion[g.field, ""] += 1
+    return metrics._level_report(gold.labels, confusion)
 
 
 def check_iob2(tags: Sequence[str]) -> None:

@@ -536,12 +536,7 @@ class TestNllAndGradient:
             oracles.random_instance(rng, m, int(rng.integers(1, 6)), with_gold=True)
             for _ in range(9)
         ]
-        xs = [inst.x for inst in insts]
-        got = crf._stack_rows(xs, len(m.feature_index))
-        want = sparse.vstack(xs, format="csr")
-        assert got.shape == want.shape
-        for part in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        want = sparse.vstack([inst.x for inst in insts], format="csr")
         batch = crf._Batch(
             want,
             sparse.identity(want.shape[1], format="csr"),
@@ -554,8 +549,12 @@ class TestNllAndGradient:
         assert nll == want_nll
         for part in ("emission", "transition", "begin", "end"):
             np.testing.assert_array_equal(getattr(grad, part), getattr(want_grad, part))
-        with pytest.raises(StructuralError):
-            crf._stack_rows(xs, len(m.feature_index) + 1)
+        wide = [
+            crf.VectorizedInstance(sparse.hstack([inst.x, inst.x], format="csr"), inst.gold)
+            for inst in insts
+        ]
+        with pytest.raises(StructuralError, match="model's 8 features"):
+            crf.nll_and_gradient(wide, m)
 
     def test_gold_outside_tag_set_is_data_error(self):
         m = unconstrained_model(2)  # tags O, B-author only

@@ -234,7 +234,8 @@ def test_keys_multiply_to_the_cached_rows(config):
     index = build_index(corpus_features(corpus[:40], config), config.min_count)
     ids = FeatureIds(index, config)
     for batch in (corpus, corpus[::-1], corpus[3:4]):  # the cache cold, then warm
-        xv, keys = ids.keys(batch)
+        key_ids, sizes, keys = ids.keys(batch)
+        xv = id_matrix(np.split(key_ids, np.cumsum(sizes)[:-1]), len(index))
         n = sum(map(len, batch))
         width = 2 * config.window + 3
         assert keys.shape == (n, width) and xv.shape[1] == len(index)
@@ -261,10 +262,9 @@ def test_factors_multiply_to_the_index_rows(config):
 
     # inference factors the corpus as training does: the same keys' ids,
     # and each position's keys are the row of h
-    infer_xv, keys = FeatureIds(index, config).keys(corpus)
-    for part in ("indices", "indptr", "data"):
-        np.testing.assert_array_equal(getattr(infer_xv, part), getattr(xv, part))
-    assert infer_xv.shape == xv.shape
+    key_ids, sizes, keys = FeatureIds(index, config).keys(corpus)
+    np.testing.assert_array_equal(key_ids, xv.indices)
+    np.testing.assert_array_equal(sizes, np.diff(xv.indptr))
     np.testing.assert_array_equal(keys.ravel(), h.indices)
     np.testing.assert_array_equal(np.arange(0, keys.size + 1, keys.shape[1]), h.indptr)
     assert (_key_matrix(keys, h.shape[1]) != h).nnz == 0

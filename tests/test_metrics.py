@@ -1,7 +1,10 @@
 import csv
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 import refparse as rp
 from refparse import labels
 from refparse.corpus import Corpus
@@ -14,6 +17,7 @@ from refparse.metrics import (
     compare_reports,
     evaluate,
     field_report,
+    format_report_table,
     relative_delta,
     report_rows,
     token_report,
@@ -98,6 +102,12 @@ class TestTokenReport:
         with pytest.raises(StructuralError, match="instance 0"):
             token_report(GOLD, [("O",), ("O", "O")])
 
+    def test_invalid_iob2_prediction_rejected(self):
+        with pytest.raises(StructuralError, match="I-author at position 0"):
+            token_report(GOLD, [("I-author", "O", "O", "O"), ("O", "O")])
+        with pytest.raises(StructuralError, match="invalid tag 'X-author'"):
+            token_report(GOLD, [("O", "O", "O", "O"), ("X-author", "O")])
+
 
 class TestFieldReport:
     def test_perfect_prediction(self):
@@ -168,6 +178,37 @@ class TestFieldReport:
         assert calls == pred
         with pytest.raises(StructuralError):
             evaluate(GOLD, [("I-author", "O", "O", "O"), ("O", "O")])
+
+
+def _iob2(choices):
+    """Tags from (field, begin) choices, field None for O: an I-f that
+    would not continue an f run begins one."""
+    tags, prev = [], None
+    for field, begin in choices:
+        if field is None:
+            tags.append("O")
+        else:
+            tags.append(f"{'B' if begin or prev != field else 'I'}-{field}")
+        prev = field
+    return tuple(tags)
+
+
+# few fields and surfaces, so one reference often repeats a (field, text) key
+_POSITION = st.tuples(
+    st.sampled_from(["A", "B", ","]),
+    st.tuples(st.sampled_from([None, "author", "title"]), st.booleans()),
+    st.tuples(st.sampled_from([None, "author", "title"]), st.booleans()),
+)
+
+
+@given(st.lists(st.lists(_POSITION, min_size=1, max_size=8), min_size=1, max_size=3))
+def test_field_level_matches_greedy_oracle(references):
+    gold = corpus_of(
+        make_instance(list(zip([s for s, _, _ in ref], _iob2(g for _, g, _ in ref))))
+        for ref in references
+    )
+    pred = [_iob2(p for _, _, p in ref) for ref in references]
+    assert evaluate(gold, pred).field == oracles.field_report(gold, pred)
 
 
 class TestAggregation:
@@ -294,3 +335,66 @@ def test_csv_schema(tmp_path):
     fields = {row["field"] for row in rows}
     assert {"micro-avg", "macro-avg"} <= fields
     assert len(rows) == len(report_rows(report))
+
+
+def _hand_report():
+    token = LevelReport(
+        per_field={"author": FieldScore(2 / 3, 1.0, 0.8, 4), "date": FieldScore(0.0, 0.0, 0.0, 0)},
+        micro_precision=2 / 3,
+        micro_recall=1.0,
+        micro_f1=0.8,
+        macro_f1=0.8,
+    )
+    field = LevelReport(
+        per_field={"author": FieldScore(0.5, 1 / 3, 0.4, 3), "date": FieldScore(1.0, 1.0, 1.0, 1)},
+        micro_precision=0.6,
+        micro_recall=0.5,
+        micro_f1=6 / 11,
+        macro_f1=0.7,
+    )
+    return EvalReport(token=token, field=field, instances=2)
+
+
+def test_report_table_text():
+    rule = "-" * 57
+    lines = [
+        "field          level         P        R       F1  support",
+        rule,
+        "author         token    0.6667   1.0000   0.8000        4",
+        "date           token    0.0000   0.0000   0.0000        0",
+        "micro-avg      token    0.6667   1.0000   0.8000",
+        "macro-avg      token                      0.8000",
+        rule,
+        "author         field    0.5000   0.3333   0.4000        3",
+        "date           field    1.0000   1.0000   1.0000        1",
+        "micro-avg      field    0.6000   0.5000   0.5455",
+        "macro-avg      field                      0.7000",
+        rule,
+    ]
+    want = "\n".join(line.ljust(57) for line in lines)  # blank cells keep their width
+    assert format_report_table(_hand_report()) == want
+    assert format_report_table(_hand_report(), title="t") == "t\n" + want
+
+
+def test_report_rows_dicts():
+    def row(level, field, p, r, f1, support):
+        return {
+            "schema": "refparse-report-v1",
+            "level": level,
+            "field": field,
+            "precision": p,
+            "recall": r,
+            "f1": f1,
+            "support": support,
+        }
+
+    assert report_rows(_hand_report()) == [
+        row("token", "author", "0.666667", "1.000000", "0.800000", "4"),
+        row("token", "date", "0.000000", "0.000000", "0.000000", "0"),
+        row("token", "micro-avg", "0.666667", "1.000000", "0.800000", "2"),
+        row("token", "macro-avg", "", "", "0.800000", "2"),
+        row("field", "author", "0.500000", "0.333333", "0.400000", "3"),
+        row("field", "date", "1.000000", "1.000000", "1.000000", "1"),
+        row("field", "micro-avg", "0.600000", "0.500000", "0.545455", "2"),
+        row("field", "macro-avg", "", "", "0.700000", "2"),
+    ]
