@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -176,26 +177,30 @@ def sample_cmd(src, dst, n, seed):
     write_corpus(corpus_sample(read_corpus(src), n, seed), dst)
 
 
+def _train_config_options(command):
+    """A --flag per TrainConfig field, with its default, passed as a keyword argument."""
+    for f in reversed(fields(TrainConfig)):  # click lists options bottom-up
+        flag = "--" + f.name.replace("_", "-")
+        option = click.option(flag, default=f.default, show_default=True, type=type(f.default))
+        command = option(command)
+    return command
+
+
 @cli.command()
 @click.argument("src", type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--l2", default=1.0, show_default=True, type=float)
-@click.option("--max-epochs", default=200, show_default=True, type=int)
-@click.option("--tol", default=1e-4, show_default=True, type=float)
+@_train_config_options
 @click.option("--min-count", default=1, show_default=True, type=int)
 @click.option("--window", default=2, show_default=True, type=int)
 @click.option("--no-gazetteers", is_flag=True)
 @click.option("--gazetteer-dir", type=click.Path(exists=True),
               help="Directory of <name>.txt word lists replacing the builtin ones.")
-def train(src, model_path, l2, max_epochs, tol, min_count, window,
-          no_gazetteers, gazetteer_dir):
+def train(src, model_path, min_count, window, no_gazetteers, gazetteer_dir, **train_config):
     """Train a CRF model on a labeled corpus."""
-    gazetteers = None
     if no_gazetteers and gazetteer_dir:
         raise UsageError("--no-gazetteers and --gazetteer-dir contradict each other")
-    if no_gazetteers:
-        gazetteers = {}
-    elif gazetteer_dir:
+    gazetteers = {} if no_gazetteers else None
+    if gazetteer_dir:
         gazetteers = {
             p.stem: load_gazetteer_file(p)
             for p in sorted(Path(gazetteer_dir).glob("*.txt"))
@@ -203,8 +208,7 @@ def train(src, model_path, l2, max_epochs, tol, min_count, window,
         if not gazetteers:
             raise UsageError(f"no .txt word lists in {gazetteer_dir}")
     feature_config = FeatureConfig(window=window, gazetteers=gazetteers, min_count=min_count)
-    train_config = TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol)
-    model = crf_train(read_corpus(src), feature_config, train_config)
+    model = crf_train(read_corpus(src), feature_config, TrainConfig(**train_config))
     save_model(model, model_path)
     click.echo(f"saved model to {model_path}", err=True)
 
@@ -251,14 +255,9 @@ def eval_cmd(model_path, gold_path, out_path):
 def _experiment_command(name: str, run_plan, help_text: str) -> None:
     @cli.command(name, help=help_text)
     @click.argument("plan", type=click.Path(exists=True))
-    @click.option("--l2", default=1.0, show_default=True, type=float)
-    @click.option("--max-epochs", default=200, show_default=True, type=int)
-    @click.option("--tol", default=1e-4, show_default=True, type=float)
-    def command(plan, l2, max_epochs, tol):
-        run_plan(
-            ExperimentPlan.from_json(plan),
-            TrainConfig(l2=l2, max_epochs=max_epochs, tol=tol),
-        )
+    @_train_config_options
+    def command(plan, **train_config):
+        run_plan(ExperimentPlan.from_json(plan), TrainConfig(**train_config))
 
 
 _experiment_command("matrix", cross_matrix, "Cross train/eval matrix from a plan file.")
@@ -291,7 +290,7 @@ def run(argv: list[str] | None = None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         click.echo(f"usage error: {exc}", err=True)
         return 1
     except DataError as exc:
@@ -300,9 +299,6 @@ def run(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:  # any text input: --in, stdin, records, styles, ...
         click.echo(f"data error: input is not UTF-8 text: {exc}", err=True)
         return 2
-    except OSError as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        return 1
     except RefparseError as exc:
         click.echo(f"error: {exc}", err=True)
         return 3

@@ -28,7 +28,7 @@ from .labels import (
     OUT,
     LabeledReference,
     Token,
-    _segments,
+    _spans,
     is_field_label,
     sort_fields,
     tag_field,
@@ -178,11 +178,10 @@ def format_inline_xml(inst: LabeledReference) -> str:
     """One reference as a single inline-XML line."""
     out: list[str] = []
     cursor = 0
-    for seg in _segments(inst.tags, inst.tokens):
-        start = inst.tokens[seg.start].start
-        end = inst.tokens[seg.end - 1].end
+    for field, first, last in _spans(inst.tags):
+        start, end = inst.tokens[first].start, inst.tokens[last - 1].end
         out.append(_escape(inst.raw[cursor:start]))
-        out.append(f"<{seg.field}>{_escape(inst.raw[start:end])}</{seg.field}>")
+        out.append(f"<{field}>{_escape(inst.raw[start:end])}</{field}>")
         cursor = end
     out.append(_escape(inst.raw[cursor:]))
     return "".join(out)

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -59,6 +60,12 @@ class ExperimentPlan:
             raise UsageError(f"plan sizes must be >= 1, got {list(self.sizes)}")
         if self.seed < 0:
             raise UsageError(f"plan seed must be >= 0, got {self.seed}")
+        for key in ("trains", "evals"):  # the names become parts of file names
+            for name in getattr(self, key):
+                if any(c in name for c in (os.sep, os.altsep or os.sep, "\0")):
+                    raise UsageError(f"plan {key} name {name!r} holds a path separator or NUL")
+        if "\0" in str(self.out_dir):
+            raise UsageError(f"plan out_dir {str(self.out_dir)!r} holds a NUL character")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":

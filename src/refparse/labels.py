@@ -3,6 +3,10 @@
 Tags are plain strings: "O", or "B-<field>" / "I-<field>" with <field> drawn
 from FIELD_LABELS. The order of FIELD_LABELS is the canonical tie-break order
 used everywhere (tag ids, report rows, Viterbi ties).
+
+A field segment is a B tag's run of tokens with the I tags after it.
+`segments_from_tags` checks tags and gives each segment its normalized text;
+writers and evaluation take bare runs from `_spans`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ FIELD_LABELS: tuple[str, ...] = (
 )
 
 _FIELD_SET = frozenset(FIELD_LABELS)
-_FIELD_RANK = {f: i for i, f in enumerate(FIELD_LABELS)}
 
 OUT = "O"
 
@@ -166,40 +169,23 @@ def segments_from_tags(
     if len(tags) != len(tokens):
         raise StructuralError(f"{len(tags)} tags vs {len(tokens)} tokens")
     check_iob2(tags)
-    return _segments(tags, tokens)
-
-
-def _segments(
-    tags: Sequence[str], tokens: Sequence[Token] | Sequence[str]
-) -> list[FieldSegment]:
-    """`segments_from_tags` without its checks, for tags already known to be
-    IOB2 and aligned with the tokens (those of a LabeledReference)."""
     surfaces = [t.surface if isinstance(t, Token) else t for t in tokens]
-    segments: list[FieldSegment] = []
-    start = -1
-    field = None
+    return [
+        FieldSegment(field, start, end, normalize_segment_text(" ".join(surfaces[start:end])))
+        for field, start, end in _spans(tags)
+    ]
+
+
+def _spans(tags: Sequence[str]) -> list[list]:
+    """Runs of tags known to be IOB2 as [field, start, end] lists, end exclusive:
+    a B tag opens a run and an I tag extends the last one. Checks nothing."""
+    spans: list[list] = []
     for i, tag in enumerate(tags):
-        kind = tag_kind(tag)
-        if kind == "I":
-            continue
-        if field is not None:
-            segments.append(_segment(field, start, i, surfaces))
-        if kind == "B":
-            start, field = i, tag_field(tag)
-        else:
-            start, field = -1, None
-    if field is not None:
-        segments.append(_segment(field, start, len(tags), surfaces))
-    return segments
-
-
-def _segment(field: str, start: int, end: int, surfaces: Sequence[str]) -> FieldSegment:
-    return FieldSegment(
-        field=field,
-        start=start,
-        end=end,
-        text=normalize_segment_text(" ".join(surfaces[start:end])),
-    )
+        if tag[0] == "B":
+            spans.append([tag[2:], i, i + 1])
+        elif tag[0] == "I":
+            spans[-1][2] = i + 1
+    return spans
 
 
 def tags_from_segments(segments: Iterable[FieldSegment], length: int) -> tuple[str, ...]:

@@ -25,9 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import labels
 from .corpus import Corpus
 from .errors import StructuralError, UsageError
-from .labels import _segments, segments_from_tags
+from .labels import _spans, normalize_segment_text
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,18 @@ def evaluate(gold: Corpus, pred: Sequence[Sequence[str]]) -> EvalReport:
             raise StructuralError(
                 f"instance {i}: {len(tags)} predicted tags for {len(inst.tokens)} tokens"
             )
-        predicted = segments_from_tags(tags, inst.tokens)
+        labels.check_iob2(tags)
         tag_pairs.update(zip(inst.tags, tags))
+        surfaces = inst.surfaces()
         # a LabeledReference's tags were checked when it was built
-        unmatched = Counter((s.field, s.text) for s in _segments(inst.tags, inst.tokens))
-        for s in predicted:
-            key = (s.field, s.text)
-            if unmatched[key]:
-                unmatched[key] -= 1
-                fields[s.field, s.field] += 1
-            else:
-                fields["", s.field] += 1
+        unmatched = Counter(
+            (f, normalize_segment_text(" ".join(surfaces[s:e]))) for f, s, e in _spans(inst.tags)
+        )
+        for f, s, e in _spans(tags):
+            key = (f, normalize_segment_text(" ".join(surfaces[s:e])))
+            hit = unmatched[key] > 0  # a TP, which uses up one equal gold key
+            unmatched[key] -= hit
+            fields[f if hit else "", f] += 1
         for (f, _), n in unmatched.items():
             fields[f, ""] += n
     tokens: Counter = Counter()

@@ -2,9 +2,9 @@
 
 Everything here recomputes quantities by brute force (exhaustive path
 enumeration, direct summation, a token-by-span scan, a character-by-character
-tokenizer, greedy segment matching) so the tests never trust the code path
-they check. Enumeration is vectorized over the full path table to keep
-hundreds of oracle comparisons fast.
+tokenizer, a close-and-open segment walk, greedy segment matching) so the
+tests never trust the code path they check. Enumeration is vectorized over
+the full path table to keep hundreds of oracle comparisons fast.
 """
 
 from __future__ import annotations
@@ -19,7 +19,16 @@ from scipy import sparse
 from refparse import crf, metrics
 from refparse.errors import StructuralError
 from refparse.features import FeatureConfig, FeatureIndex
-from refparse.labels import FIELD_LABELS, OUT, Token, make_tag, segments_from_tags
+from refparse.labels import (
+    FIELD_LABELS,
+    OUT,
+    FieldSegment,
+    Token,
+    make_tag,
+    normalize_segment_text,
+    tag_field,
+    tag_kind,
+)
 
 FIELDS = ("author", "title", "date")
 
@@ -160,6 +169,33 @@ def enumerate_all(inst, model):
     return logz, best, marginal
 
 
+def segments(tags: Sequence[str], tokens) -> list[FieldSegment]:
+    """The field segments of IOB2 tags by a close-and-open walk: a B or O tag
+    closes the open segment, and a B tag opens the next one."""
+    surfaces = [t.surface if isinstance(t, Token) else t for t in tokens]
+    found: list[FieldSegment] = []
+
+    def close(field, start, end):
+        text = normalize_segment_text(" ".join(surfaces[start:end]))
+        found.append(FieldSegment(field=field, start=start, end=end, text=text))
+
+    start = -1
+    field = None
+    for i, tag in enumerate(tags):
+        kind = tag_kind(tag)
+        if kind == "I":
+            continue
+        if field is not None:
+            close(field, start, i)
+        if kind == "B":
+            start, field = i, tag_field(tag)
+        else:
+            start, field = -1, None
+    if field is not None:
+        close(field, start, len(tags))
+    return found
+
+
 def field_report(gold, pred: Sequence[Sequence[str]]) -> metrics.LevelReport:
     """Field-level scores by greedy left-to-right matching: each predicted
     segment takes the first not-yet-matched gold segment of its reference
@@ -167,8 +203,8 @@ def field_report(gold, pred: Sequence[Sequence[str]]) -> metrics.LevelReport:
     segments left over are FNs."""
     confusion: Counter = Counter()  # as metrics._level_report reads it
     for inst, tags in zip(gold.instances, pred):
-        unmatched = segments_from_tags(inst.tags, inst.tokens)
-        for seg in segments_from_tags(tags, inst.tokens):
+        unmatched = segments(inst.tags, inst.tokens)
+        for seg in segments(tags, inst.tokens):
             hit = next(
                 (g for g in unmatched if g.field == seg.field and g.text == seg.text),
                 None,

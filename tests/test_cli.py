@@ -29,9 +29,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert "No such command" in err
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
-    assert run(["train", "--help"]) == 0
+    for command in ("train", "matrix", "curve", "ablation"):
+        capsys.readouterr()
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out.split()
+        for flag, kind, default in (
+            ("--l2", "FLOAT", "1.0]"),
+            ("--max-epochs", "INTEGER", "200]"),
+            ("--tol", "FLOAT", "0.0001]"),
+        ):
+            at = out.index(flag)
+            assert out[at + 1 : at + 4] == [kind, "[default:", default], command
 
 
 def test_records_generate_split_sample_filter(tmp_path, capsys):
@@ -384,6 +394,33 @@ BAD_CLI_INPUTS = {
         for value in ("nan", "inf")
     },
 }
+
+
+@pytest.mark.parametrize(
+    "key, value, altsep",
+    [
+        ("evals", "x/y", None),
+        ("trains", "a\0b", None),
+        ("evals", "x\\y", "\\"),
+        ("out_dir", "o\0ut", None),
+    ],
+    ids=["name_with_sep", "name_with_nul", "name_with_altsep", "out_dir_with_nul"],
+)
+def test_plan_that_cannot_name_its_files_is_a_usage_error(
+    key, value, altsep, tmp_path, capsys, monkeypatch
+):
+    # the names become parts of output file names; a platform without a
+    # second separator gets one for the altsep case
+    if altsep:
+        monkeypatch.setattr("refparse.experiments.os.altsep", altsep)
+    corpus = str(DATA_DIR / "v1_parse.xml")
+    plan = {"trains": {"a": corpus}, "evals": {"a": corpus}, "out_dir": str(tmp_path / "out")}
+    plan[key] = str(tmp_path / value) if key == "out_dir" else {value: corpus}
+    (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    assert run(["matrix", str(tmp_path / "plan.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: plan {key}" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
 
 
 @pytest.mark.parametrize("case", BAD_CLI_INPUTS.values(), ids=BAD_CLI_INPUTS.keys())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import refparse as rp
 from refparse.corpus import Corpus, format_inline_xml, observed_labels
@@ -252,3 +254,35 @@ def test_format_inline_xml_escapes(tmp_path):
         tags=("B-title", "I-title", "I-title"),
     )
     assert format_inline_xml(inst) == "<title>a &amp; b</title>"
+
+
+# words the tokenizer splits in several ways, with the characters the format
+# escapes; none opens with "#", since a line that does is read as a comment
+_WORDS = st.lists(
+    st.sampled_from(
+        ["Smith", "J.", "2019", "(3):", "a&b", "<title>", "x&lt;y", "Über", "pp.1-4"]
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(_WORDS, st.data())
+def test_format_inline_xml_reads_back_to_the_same_tags(tmp_path_factory, words, data):
+    raw = " ".join(words)
+    tokens = rp.tokenize(raw)
+    # per token a field or None for O, and whether it opens a new run
+    choices = data.draw(st.lists(
+        st.tuples(st.sampled_from([None, "author", "title"]), st.booleans()),
+        min_size=len(tokens), max_size=len(tokens),
+    ))
+    tags, prev = [], None
+    for field, begin in choices:
+        kind = "B" if begin or prev != field else "I"
+        tags.append("O" if field is None else f"{kind}-{field}")
+        prev = field
+    inst = rp.LabeledReference(raw=raw, tokens=tokens, tags=tuple(tags))
+    path = tmp_path_factory.getbasetemp() / "round_trip.xml"
+    path.write_text(format_inline_xml(inst) + "\n", encoding="utf-8")
+    (back,) = rp.read_inline_xml(path).instances
+    assert (back.raw, back.tags) == (raw, inst.tags)

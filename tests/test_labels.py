@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -42,6 +42,30 @@ def test_adjacent_b_tags_start_new_segments():
         ("title", 0, 1),
         ("title", 1, 2),
     ]
+
+
+# runs of (field or None for O, length): neighbouring runs of one field are
+# adjacent B tags, and lengths up to 12 make long I runs
+_RUNS = st.lists(
+    st.tuples(st.sampled_from([None, "title", "date"]), st.integers(1, 12)), max_size=6
+)
+_SURFACES = st.lists(
+    st.sampled_from(["A", ".", "b ,", ";", "  c  d"]), min_size=72, max_size=72
+)
+
+
+@example([(None, 4)], ["a"] * 4)
+@example([("title", 1), ("title", 2), ("title", 1)], ["x", "y .", "z,", ";"])
+@example([("date", 12)], ["1999", ","] * 6)
+@given(_RUNS, _SURFACES)
+def test_segments_equal_the_walk_oracle(runs, surfaces):
+    tags = []
+    for field, n in runs:
+        tags += ["O"] * n if field is None else [f"B-{field}"] + [f"I-{field}"] * (n - 1)
+    surfaces = surfaces[: len(tags)]
+    tokens = [rp.Token(s, 0, len(s)) for s in surfaces]  # offsets are not read
+    assert segments_from_tags(tags, surfaces) == oracles.segments(tags, surfaces)
+    assert segments_from_tags(tags, tokens) == oracles.segments(tags, tokens)
 
 
 def test_malformed_iob2_rejected():
