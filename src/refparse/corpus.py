@@ -6,7 +6,9 @@ Two interchange formats:
   ``<author>C. Lemke</author>, <title>Metalearning</title>.`` with an
   optional ``#labels: author,title,...`` header declaring the label subset.
   Only ``&amp; &lt; &gt;`` entities are used. A ``<ref>...</ref>`` wrapper
-  (possibly spanning lines) is accepted on input and never written.
+  (possibly spanning lines) is accepted on input, and written only around
+  a reference whose line would otherwise start with ``#`` and so read as a
+  comment.
 * CoNLL TSV: ``surface<TAB>tag`` per token, blank line between references,
   same optional ``#labels:`` header.
 
@@ -175,7 +177,8 @@ def write_inline_xml(corpus: Corpus, path) -> None:
 
 
 def format_inline_xml(inst: LabeledReference) -> str:
-    """One reference as a single inline-XML line."""
+    """One reference as a single inline-XML line, wrapped in <ref>...</ref>
+    when it would start with "#"."""
     out: list[str] = []
     cursor = 0
     for field, first, last in _spans(inst.tags):
@@ -184,7 +187,8 @@ def format_inline_xml(inst: LabeledReference) -> str:
         out.append(f"<{field}>{_escape(inst.raw[start:end])}</{field}>")
         cursor = end
     out.append(_escape(inst.raw[cursor:]))
-    return "".join(out)
+    line = "".join(out)
+    return f"<ref>{line}</ref>" if line.lstrip().startswith("#") else line
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ rows where it would pass exp(_EXP_CAP), which only weights far beyond
 trained sizes reach, the posteriors are taken in logs and each right[j] c
 is capped at exp(_EXP_CAP), as the pair terms always were.
 
+Training evaluates its objective in memory it already holds. Each packing
+keeps a workspace (`_Packing.buffer`) that it allocates on first use and
+hands back on every later one: forward-backward's posteriors and step
+tables, and the training batch's L2 scratch. Every element is written
+before it is read, so the arithmetic, and the model bytes, are what fresh
+arrays give. The posteriors `_forward_backward` returns are the workspace's,
+overwritten by the next call on the same packing; `marginals` and
+`log_partition` pack each call afresh, so what they return stays put.
+
 Feature rows are factored by token surface in one key layout, which
 training (features.training_factors) and inference (FeatureIds.keys)
 share, so the emission scores and their gradient run over a few keys per
@@ -300,9 +309,11 @@ class _Packing:
     the `widths[t]` rows from `starts[t]` on, and they continue the first
     `widths[t]` rows of step t-1. `source` maps each packed row to its row in
     the instances stacked one after another, `slot` to its instance's place
-    in the sorted order, and `last[k]` is the last row of sorted instance k."""
+    in the sorted order, and `last[k]` is the last row of sorted instance k.
+    `buffer` holds the packing's workspace arrays."""
 
     def __init__(self, lengths: np.ndarray):
+        self._buffers: dict[str, np.ndarray] = {}
         order = np.argsort(-lengths, kind="stable")
         # the number of instances longer than t, for every step t
         self.widths = np.bincount(lengths - 1)[::-1].cumsum()[::-1]
@@ -318,6 +329,14 @@ class _Packing:
         self.prev = np.arange(w0, len(step)) - np.repeat(self.widths[:-1], self.widths[1:])
         self.last = self.starts[lengths[order] - 1] + np.arange(len(lengths))
 
+    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The workspace array `name`: allocated on its first use with this
+        shape, then the same array, contents and all, on every later use."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
+
 
 def _forward_backward(
     e: np.ndarray, pack: _Packing, model: CrfModel
@@ -327,7 +346,8 @@ def _forward_backward(
     `e` holds the (P, L) emission scores in the packing's row order. Returns
     the (P, L) tag posteriors in the same order, the (L, L) expected
     transition counts summed over the batch, and logz (N,) per instance,
-    longest first.
+    longest first. The posteriors are the packing's workspace array "mu",
+    which the next call on the same packing overwrites.
     """
     widths, starts = pack.widths.tolist(), pack.starts.tolist()
     w0 = widths[0]
@@ -335,12 +355,13 @@ def _forward_backward(
 
     # for each row r of steps 1, 2, ... (at r - w0): left = exp(alpha[prev r]
     # - m), fwd = left @ exp(trans), right = exp(beta[r] + e[r] - m') and
-    # shift = m + m'; fwd is written where r's posteriors go
-    mu = np.empty_like(e)
+    # shift = m + m'; fwd is written where r's posteriors go. Every element
+    # of the four is written below before it is read
+    mu = pack.buffer("mu", e.shape)
     fwd = mu[w0:]
-    left = np.empty_like(fwd)
-    right = np.empty_like(fwd)
-    shift = np.empty((len(fwd), 1))
+    left = pack.buffer("left", fwd.shape)
+    right = pack.buffer("right", fwd.shape)
+    shift = pack.buffer("shift", (len(fwd), 1))
 
     alpha = alpha0 = model.begin + e[:w0]  # the alphas of the current step
     final = np.empty_like(alpha)  # the alphas of each instance's last row
@@ -568,7 +589,8 @@ class _Batch(_Packing):
     rows factored by surface (`training_factors`), `nll_and_gradient` the
     rows themselves with one key per feature. `gold` holds the gold tag ids
     and `lengths` the instance lengths. The packing permutes the rows of `h`
-    and `gold` only."""
+    and `gold` only. `gold_flat` holds each packed row's flat index of its
+    gold tag in a (P, L) array."""
 
     def __init__(
         self,
@@ -581,7 +603,8 @@ class _Batch(_Packing):
         super().__init__(lengths)
         self.h = h[self.source]
         self.xv = xv
-        self.gold = g = gold[self.source]
+        g = gold[self.source]
+        self.gold_flat = np.arange(len(g)) * n_tags + g
         w0 = self.widths[0]
         self.trans_counts = np.zeros((n_tags, n_tags))
         np.add.at(self.trans_counts, (g[self.prev], g[w0:]), 1.0)
@@ -597,9 +620,10 @@ def _batch_nll_grad(
     e = batch.h @ (batch.xv @ model.emission)  # (P, L)
     mu, expected_trans, logz = _forward_backward(e, batch, model)
 
-    # gold path score
-    p_idx = np.arange(len(batch.gold))
-    gold_score = float(e[p_idx, batch.gold].sum())
+    # gold path score; e is dead after it, and freeing it now lets the
+    # gradient's products reuse its memory
+    gold_score = float(e.take(batch.gold_flat).sum())
+    del e
     gold_score += float((model.transition[tmask] * batch.trans_counts[tmask]).sum())
     gold_score += float((model.begin[bmask] * batch.begin_counts[bmask]).sum())
     gold_score += float((model.end * batch.end_counts).sum())
@@ -612,14 +636,16 @@ def _batch_nll_grad(
     grad_begin = mu[:w0].sum(axis=0) - batch.begin_counts
     grad_begin[~bmask] = 0.0
     grad_end = mu[batch.last].sum(axis=0) - batch.end_counts
-    residual = mu
-    residual[p_idx, batch.gold] -= 1.0
+    residual = mu  # the workspace's, so ravel() is a view
+    residual.ravel()[batch.gold_flat] -= 1.0
     grad_emission = batch.xv.T @ (batch.h.T @ residual)
 
     if l2:
-        w = _pack(model, tmask, bmask)
+        w = _pack(model, tmask, bmask, out=batch.buffer("l2", (_n_params(model, tmask, bmask),)))
         nll += 0.5 * l2 * float(w @ w)
-        grad_emission += l2 * model.emission
+        # w is dead now, and its head holds l2 * emission
+        l2_emission = w[: model.emission.size].reshape(model.emission.shape)
+        grad_emission += np.multiply(l2, model.emission, out=l2_emission)
         grad_trans[tmask] += l2 * model.transition[tmask]
         grad_begin[bmask] += l2 * model.begin[bmask]
         grad_end += l2 * model.end
@@ -656,14 +682,21 @@ def nll_and_gradient(
 # training
 # ---------------------------------------------------------------------------
 
-def _pack(model: CrfModel, tmask: np.ndarray, bmask: np.ndarray) -> np.ndarray:
+def _n_params(model: CrfModel, tmask: np.ndarray, bmask: np.ndarray) -> int:
+    return model.emission.size + int(tmask.sum()) + int(bmask.sum()) + len(model.end)
+
+
+def _pack(
+    model: CrfModel, tmask: np.ndarray, bmask: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     return np.concatenate(
         [
             model.emission.ravel(),
             model.transition[tmask],
             model.begin[bmask],
             model.end,
-        ]
+        ],
+        out=out,
     )
 
 

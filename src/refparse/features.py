@@ -35,6 +35,10 @@ AFFIX_LENGTHS = (1, 2, 3, 4)
 # model-file keys of templates that are fixed, with the values implemented
 _FIXED_TEMPLATES = {"affix_lengths": list(AFFIX_LENGTHS), "use_shape": True}
 
+# the widest window offset a FeatureConfig accepts: a position's row holds
+# 2 * window + 3 keys, so an unbounded window would allocate without end
+MAX_WINDOW = 16
+
 
 def load_gazetteer_file(path) -> frozenset[str]:
     """Read one word list: UTF-8, one lowercase word per line, '#' comments.
@@ -72,8 +76,8 @@ class FeatureConfig:
     min_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.window < 0:
-            raise UsageError(f"window must be >= 0, got {self.window}")
+        if not 0 <= self.window <= MAX_WINDOW:
+            raise UsageError(f"window must be in 0..{MAX_WINDOW}, got {self.window}")
         if self.min_count < 1:
             raise UsageError(f"min_count must be >= 1, got {self.min_count}")
         gaz = builtin_gazetteers() if self.gazetteers is None else self.gazetteers

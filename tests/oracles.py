@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities by brute force (exhaustive path
 enumeration, direct summation, a token-by-span scan, a character-by-character
-tokenizer, a close-and-open segment walk, greedy segment matching) so the
-tests never trust the code path they check. Enumeration is vectorized over
+tokenizer, a close-and-open segment walk, greedy segment matching, an
+L-BFGS that allocates every vector afresh) so the tests never trust the code
+path they check. Enumeration is vectorized over
 the full path table to keep hundreds of oracle comparisons fast.
 """
 
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from refparse import crf, metrics
+from refparse import crf, metrics, optim
 from refparse.errors import StructuralError
 from refparse.features import FeatureConfig, FeatureIndex
 from refparse.labels import (
@@ -307,3 +308,56 @@ def tags_from_spans(
             tags.append(make_tag("B", ordered[si][0]))
         prev_span = si
     return tuple(tags)
+
+
+def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptResult:
+    """`optim.minimize`'s L-BFGS, written with a fresh array for every
+    vector and list-held (s, y) pairs: the arithmetic that the in-place
+    version must reproduce bit for bit."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    f, g = fun(x)
+    n_evals, log, pairs, converged = 1, [(0, f)], [], False
+    for k in range(1, max_iter + 1):
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * float(s @ q)
+            q = q - a * y
+            alphas.append(a)
+        if pairs:
+            s, y, _ = pairs[-1]
+            q = q * (float(s @ y) / float(y @ y))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q = q + (a - rho * float(y @ q)) * s
+        d = -q
+        gd = float(g @ d)
+        if gd >= 0.0:
+            d = -g
+            gd = float(g @ d)
+            if gd >= 0.0:
+                converged = True
+                break
+        step = 1.0 if pairs else min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
+        for _ in range(optim.MAX_BACKTRACKS):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            n_evals += 1
+            if np.isfinite(f_new) and f_new <= f + optim.C1 * step * gd:
+                break
+            step *= optim.SHRINK
+        else:
+            converged = True
+            break
+        s, y = x_new - x, g_new - g
+        if float(s @ y) > 1e-10:
+            pairs = [*pairs, (s, y, 1.0 / float(s @ y))][-optim.HISTORY :]
+        rel_change = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        log.append((k, f))
+        if rel_change < rel_tol:
+            converged = True
+            break
+    return optim.OptResult(
+        x=x, value=f, log=log, converged=converged, n_evals=n_evals,
+        grad_norm=float(np.linalg.norm(g)),
+    )

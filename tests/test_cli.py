@@ -10,7 +10,7 @@ from refparse import cli, labels
 from refparse.cli import run
 from refparse.corpus import format_inline_xml
 from refparse.crf import empty_model, save_model
-from refparse.features import FeatureConfig, FeatureIndex
+from refparse.features import MAX_WINDOW, FeatureConfig, FeatureIndex
 from refparse.labels import check_iob2
 
 from conftest import DATA_DIR, FIGURE1_TEXT
@@ -170,6 +170,7 @@ MALFORMED_MODELS = {
         "shape",
     ),
     "negative_window": (lambda p: _feature_config(p, window=-1), "window"),
+    "window_past_max": (lambda p: _feature_config(p, window=MAX_WINDOW + 1), "window"),
     "tokenizer_keeps_punctuation_runs": (
         lambda p: _gz(
             {**p, "tokenizer_config": {**p["tokenizer_config"], "split_punctuation": False}}
@@ -367,6 +368,11 @@ BAD_CLI_INPUTS = {
     "train_negative_window": (
         {"c.xml": GOOD_CORPUS},
         ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--window", "-1"], 1, "window",
+    ),
+    "train_window_past_max": (
+        {"c.xml": GOOD_CORPUS},
+        ["train", "{d}/c.xml", "--model", "{d}/out.gz", "--window", str(MAX_WINDOW + 1)],
+        1, "window",
     ),
     "train_gazetteer_dir_without_lists": (
         {"c.xml": GOOD_CORPUS},

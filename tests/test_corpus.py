@@ -257,10 +257,11 @@ def test_format_inline_xml_escapes(tmp_path):
 
 
 # words the tokenizer splits in several ways, with the characters the format
-# escapes; none opens with "#", since a line that does is read as a comment
+# escapes, and words opening with "#", which starts a comment line
 _WORDS = st.lists(
     st.sampled_from(
-        ["Smith", "J.", "2019", "(3):", "a&b", "<title>", "x&lt;y", "Über", "pp.1-4"]
+        ["Smith", "J.", "2019", "(3):", "a&b", "<title>", "x&lt;y", "Über", "pp.1-4",
+         "#1", "#", "#labels:"]
     ),
     min_size=1,
     max_size=8,
@@ -286,3 +287,27 @@ def test_format_inline_xml_reads_back_to_the_same_tags(tmp_path_factory, words, 
     path.write_text(format_inline_xml(inst) + "\n", encoding="utf-8")
     (back,) = rp.read_inline_xml(path).instances
     assert (back.raw, back.tags) == (raw, inst.tags)
+
+
+def test_reference_starting_with_hash_survives_a_corpus_round_trip(tmp_path):
+    # first tokens tagged O, so no field tag opens the line
+    refs = {
+        "#1 Smith, 2019.": ("O", "O", "B-author", "O", "O", "O"),
+        " # Jones": ("O", "B-author"),
+        "Doe #2": ("O", "B-author", "I-author"),
+    }
+    instances = [
+        rp.LabeledReference(raw=raw, tokens=rp.tokenize(raw), tags=tags)
+        for raw, tags in refs.items()
+    ]
+    corpus = Corpus(name="c", labels=("author",), instances=tuple(instances))
+    path = tmp_path / "hash.xml"
+    rp.write_corpus(corpus, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [
+        "<ref>#1 <author>Smith</author>, 2019.</ref>",
+        "<ref> # <author>Jones</author></ref>",
+        "Doe <author>#2</author>",
+    ]
+    back = rp.read_corpus(path)
+    assert [(i.raw, i.tags) for i in back.instances] == [(i.raw, i.tags) for i in instances]

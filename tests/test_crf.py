@@ -1,4 +1,5 @@
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -793,6 +794,158 @@ class TestOptimizer:
             assert res.converged is converged
             assert res.grad_norm == pytest.approx(np.linalg.norm(f(res.x)[1]), rel=1e-12)
         assert res.grad_norm < 1e-4
+
+
+def _corpus(seed: int, n: int = 40) -> Corpus:
+    return rp.generate_corpus(
+        rp.random_records(20, seed=seed), rp.style_family("A"), n=n, seed=seed
+    )
+
+
+def _training_batch(corpus: Corpus):
+    """A random-weight model and the factored batch `train` builds."""
+    surfaces = [inst.surfaces() for inst in corpus.instances]
+    index, h, xv = training_factors(surfaces, FeatureConfig())
+    m = crf.empty_model(corpus.labels, index, FeatureConfig())
+    ids = m.tag_ids
+    gold = np.array([ids[t] for inst in corpus.instances for t in inst.tags])
+    lengths = np.array([len(s) for s in surfaces])
+    return m, lambda: crf._Batch(h, xv, gold, lengths, len(m.tags))
+
+
+def _trained_bytes(corpus: Corpus, path) -> bytes:
+    """The model file of a short training on `corpus`."""
+    crf.save_model(crf.train(corpus, FeatureConfig(), crf.TrainConfig(max_epochs=25)), path)
+    return path.read_bytes()
+
+
+class TestWorkspace:
+    """Training reuses its arrays from one objective evaluation to the
+    next; no result may depend on what an earlier evaluation left in them."""
+
+    def test_batch_objective_at_a_b_a_is_bitwise_a_fresh_batchs(self):
+        m, make_batch = _training_batch(_corpus(4))
+        tmask, bmask = crf._structure_masks(m.tags)
+        rng = np.random.default_rng(21)
+        n = len(crf._pack(m, tmask, bmask))
+        at_a, at_b = (crf._unpack(rng.normal(size=n), m, tmask, bmask) for _ in "ab")
+        fresh = [crf._batch_nll_grad(make_batch(), w, 0.5) for w in (at_a, at_b)]
+        assert fresh[0][0] != fresh[1][0]
+        batch = make_batch()
+        # the results are held, not copied, so a later call that wrote into
+        # an array of an earlier result shows
+        results = [crf._batch_nll_grad(batch, w, 0.5) for w in (at_a, at_b, at_a)]
+        for (nll, grad), (want_nll, want) in zip(results, [fresh[0], fresh[1], fresh[0]]):
+            assert nll == want_nll
+            for part in ("emission", "transition", "begin", "end"):
+                np.testing.assert_array_equal(getattr(grad, part), getattr(want, part))
+
+    def test_two_marginals_results_are_independent(self):
+        rng = np.random.default_rng(22)
+        m = oracles.random_model(rng)
+        first_inst, second_inst = (oracles.random_instance(rng, m, 4) for _ in "ab")
+        first = crf.marginals(first_inst, m)
+        kept = first.copy()
+        second = crf.marginals(second_inst, m)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(crf.marginals(first_inst, m), kept)
+
+    def test_minimize_never_writes_what_the_objective_returns(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(8, 8))
+        quad = a.T @ a + 0.1 * np.eye(8)
+        b = rng.normal(size=8)
+
+        def f(x, writable):
+            g = quad @ x - b
+            g.setflags(write=writable)
+            return float(0.5 * x @ quad @ x - b @ x), g
+
+        results = [
+            optim.minimize(lambda x: f(x, writable), np.zeros(8), max_iter=60, rel_tol=1e-14)
+            for writable in (True, False)
+        ]
+        assert results[0].log[-1][0] > optim.HISTORY  # the (s, y) ring came round
+        np.testing.assert_array_equal(results[0].x, results[1].x)
+        assert replace(results[0], x=None) == replace(results[1], x=None)
+
+    def test_minimize_is_bitwise_the_allocating_oracle(self):
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(12, 12))
+        quad = a.T @ a + 0.01 * np.eye(12)
+        b = rng.normal(size=12)
+
+        def f(x):
+            # a quartic term makes the first steps backtrack
+            return float(0.5 * x @ quad @ x - b @ x + (x @ x) ** 2), quad @ x - b + 4 * (x @ x) * x
+
+        backtracks = 0
+        for x0 in (np.zeros(12), np.full(12, 3.0)):
+            got = optim.minimize(f, x0, max_iter=80, rel_tol=1e-15)
+            want = oracles.minimize(f, x0, max_iter=80, rel_tol=1e-15)
+            assert len(got.log) > optim.HISTORY + 2
+            backtracks += got.n_evals - len(got.log)
+            np.testing.assert_array_equal(got.x, want.x)
+            assert replace(got, x=None) == replace(want, x=None)
+        assert backtracks
+
+    def test_training_is_bitwise_the_allocating_oracles(self, monkeypatch, tmp_path):
+        # the oracle gets a copy of every gradient as it was returned, so an
+        # objective that wrote into a gradient it returned earlier shows
+        corpus = _corpus(5, n=30)
+        got = _trained_bytes(corpus, tmp_path / "got.gz")
+
+        def oracle_minimize(fun, x0, **kwargs):
+            def copied(x):
+                f, g = fun(x)
+                return f, g.copy()
+
+            return oracles.minimize(copied, x0, **kwargs)
+
+        monkeypatch.setattr(optim, "minimize", oracle_minimize)
+        assert _trained_bytes(corpus, tmp_path / "want.gz") == got
+
+    def test_interleaved_trainings_each_reproduce_their_model(self, monkeypatch, tmp_path):
+        corpora = [_corpus(6, n=20), _corpus(7, n=30)]
+        alone = [_trained_bytes(c, tmp_path / f"alone{i}.gz") for i, c in enumerate(corpora)]
+
+        # two trainings in two threads that hand over at every objective
+        # evaluation, so their evaluations alternate and never overlap
+        turns = [threading.Semaphore(1), threading.Semaphore(0)]
+        done, order, files = [False, False], [], [None, None]
+        local = threading.local()
+        minimize = optim.minimize
+
+        def taking_turns(fun, x0, **kwargs):
+            i = local.i
+
+            def evaluate(x):
+                if not done[1 - i]:
+                    turns[1 - i].release()
+                    turns[i].acquire()
+                order.append(i)
+                return fun(x)
+
+            return minimize(evaluate, x0, **kwargs)
+
+        def run(i):
+            local.i = i
+            turns[i].acquire()
+            try:
+                files[i] = _trained_bytes(corpora[i], tmp_path / f"interleaved{i}.gz")
+            finally:
+                done[i] = True
+                turns[1 - i].release()
+
+        monkeypatch.setattr(optim, "minimize", taking_turns)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert order[:6] == [0, 1, 0, 1, 0, 1]
+        assert files == alone
 
 
 class TestModelIO:

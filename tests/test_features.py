@@ -7,6 +7,7 @@ from oracles import id_matrix
 from refparse import crf, features
 from refparse.errors import UsageError
 from refparse.features import (
+    MAX_WINDOW,
     FeatureConfig,
     FeatureIds,
     builtin_gazetteers,
@@ -127,12 +128,16 @@ def test_gazetteers_resolved_at_construction():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"window": -1}, {"min_count": 0}],
-    ids=["negative_window", "zero_min_count"],
+    [{"window": -1}, {"window": MAX_WINDOW + 1}, {"min_count": 0}],
+    ids=["negative_window", "window_past_max", "zero_min_count"],
 )
 def test_config_rejects_bad_numbers(kwargs):
     with pytest.raises(UsageError):
         FeatureConfig(**kwargs)
+
+
+def test_config_accepts_the_widest_window():
+    assert FeatureConfig(window=MAX_WINDOW).window == MAX_WINDOW
 
 
 # One fixed sequence under the default config: bos/eos, shape, isdigit,
