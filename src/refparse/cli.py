@@ -18,10 +18,12 @@ import click
 from . import __version__
 from .corpus import (
     filter_fields,
+    format_conll,
     format_inline_xml,
     read_corpus,
     sample as corpus_sample,
     split as corpus_split,
+    text_lines,
     write_corpus,
 )
 from .crf import (
@@ -83,9 +85,9 @@ def cli(verbose: bool) -> None:
     )
 
 
-def _read_text(in_path) -> str:
-    """The --in file, or stdin without one."""
-    return Path(in_path).read_text(encoding="utf-8") if in_path else sys.stdin.read()
+def _read_lines(in_path) -> list[str]:
+    """The lines of the --in file, or of stdin without one, cut as corpus files are."""
+    return text_lines(Path(in_path).read_text(encoding="utf-8") if in_path else sys.stdin.read())
 
 
 def _resolve_styles(spec: str):
@@ -177,21 +179,24 @@ def sample_cmd(src, dst, n, seed):
     write_corpus(corpus_sample(read_corpus(src), n, seed), dst)
 
 
-def _train_config_options(command):
-    """A --flag per TrainConfig field, with its default, passed as a keyword argument."""
-    for f in reversed(fields(TrainConfig)):  # click lists options bottom-up
-        flag = "--" + f.name.replace("_", "-")
-        option = click.option(flag, default=f.default, show_default=True, type=type(f.default))
-        command = option(command)
-    return command
+def _config_options(config, names=None):
+    """A --flag per named field of a config dataclass (all fields by default),
+    listed in that order, with the field's default; passed as keyword arguments."""
+    defaults = {f.name: f.default for f in fields(config)}
+    def decorate(command):
+        for name in reversed(names or list(defaults)):  # click lists options bottom-up
+            flag, default = "--" + name.replace("_", "-"), defaults[name]
+            option = click.option(flag, default=default, show_default=True, type=type(default))
+            command = option(command)
+        return command
+    return decorate
 
 
 @cli.command()
 @click.argument("src", type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path())
-@_train_config_options
-@click.option("--min-count", default=1, show_default=True, type=int)
-@click.option("--window", default=2, show_default=True, type=int)
+@_config_options(TrainConfig)
+@_config_options(FeatureConfig, ("min_count", "window"))
 @click.option("--no-gazetteers", is_flag=True)
 @click.option("--gazetteer-dir", type=click.Path(exists=True),
               help="Directory of <name>.txt word lists replacing the builtin ones.")
@@ -223,17 +228,13 @@ def train(src, model_path, min_count, window, no_gazetteers, gazetteer_dir, **tr
 def parse(model_path, in_path, out_path, out_format):
     """Label raw reference strings with a trained model."""
     model = load_model(model_path)
-    lines = [line for line in map(str.strip, _read_text(in_path).splitlines()) if line]
-    out_lines: list[str] = []
-    for start in range(0, len(lines), _PARSE_CHUNK):
-        for inst in decode_many(model, lines[start : start + _PARSE_CHUNK]):
-            if out_format == "inline":
-                out_lines.append(format_inline_xml(inst))
-            else:
-                for token, tag in zip(inst.tokens, inst.tags):
-                    out_lines.append(f"{token.surface}\t{tag}")
-                out_lines.append("")
-    text = "".join(line + "\n" for line in out_lines)
+    lines = [line for line in map(str.strip, _read_lines(in_path)) if line]
+    format_one = format_inline_xml if out_format == "inline" else format_conll
+    text = "".join(
+        format_one(inst) + "\n"
+        for start in range(0, len(lines), _PARSE_CHUNK)
+        for inst in decode_many(model, lines[start : start + _PARSE_CHUNK])
+    )
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
@@ -255,7 +256,7 @@ def eval_cmd(model_path, gold_path, out_path):
 def _experiment_command(name: str, run_plan, help_text: str) -> None:
     @cli.command(name, help=help_text)
     @click.argument("plan", type=click.Path(exists=True))
-    @_train_config_options
+    @_config_options(TrainConfig)
     def command(plan, **train_config):
         run_plan(ExperimentPlan.from_json(plan), TrainConfig(**train_config))
 
@@ -272,7 +273,7 @@ _experiment_command(
               help="One reference per line (default stdin).")
 def tokenize_cmd(in_path):
     """Debug tokenizer: TSV of surface/start/end per token."""
-    for line in _read_text(in_path).splitlines():
+    for line in _read_lines(in_path):
         for token in tokenize(line):
             click.echo(f"{token.surface}\t{token.start}\t{token.end}")
         click.echo("")

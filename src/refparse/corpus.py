@@ -1,16 +1,16 @@
 """Labeled-corpus containers, file formats, splits, and label filtering.
 
-Two interchange formats:
+Two interchange formats, one writer (`_write`) and one line rule
+(`text_lines`): a line ends only at ``\\n``, ``\\r`` or ``\\r\\n``.
 
 * inline XML: one reference per line, fields marked like
   ``<author>C. Lemke</author>, <title>Metalearning</title>.`` with an
   optional ``#labels: author,title,...`` header declaring the label subset.
   Only ``&amp; &lt; &gt;`` entities are used. A ``<ref>...</ref>`` wrapper
   (possibly spanning lines) is accepted on input, and written only around
-  a reference whose line would otherwise start with ``#`` and so read as a
-  comment.
+  a reference whose line would otherwise be blank or start with ``#``.
 * CoNLL TSV: ``surface<TAB>tag`` per token, blank line between references,
-  same optional ``#labels:`` header.
+  same optional ``#labels:`` header. ``#<TAB>tag`` is a token, not a comment.
 
 Seeded shuffles use numpy's PCG64 generator (`seeded_rng`, shared with record
 synthesis, generation and experiments), so splits and samples are
@@ -19,14 +19,17 @@ reproducible bit-for-bit across runs and platforms for a given seed >= 0.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DataError, StructuralError, UsageError
 from .labels import (
+    _PREDECESSORS,
     OUT,
     LabeledReference,
     Token,
@@ -68,6 +71,18 @@ def observed_labels(instances) -> tuple[str, ...]:
     return sort_fields(fields)
 
 
+def text_lines(text: str) -> list[str]:
+    """`text` cut into lines by universal-newline reading, as files are read."""
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+
+
+def _write(corpus: Corpus, path, format_one) -> None:
+    """The #labels header, then a line break after each `format_one(reference)`."""
+    text = "".join(format_one(inst) + "\n" for inst in corpus.instances)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("#labels: " + ",".join(corpus.labels) + "\n" + text)
+
+
 # ---------------------------------------------------------------------------
 # inline XML
 # ---------------------------------------------------------------------------
@@ -86,8 +101,7 @@ def _escape(text: str) -> str:
 def _parse_inline_line(line: str, lineno: int) -> LabeledReference:
     raw_parts: list[str] = []
     spans: list[tuple[str, int, int]] = []
-    pos = 0
-    length = 0
+    pos = length = 0
     open_field: str | None = None
     open_start = 0
     for m in _TAG_RE.finditer(line):
@@ -109,17 +123,14 @@ def _parse_inline_line(line: str, lineno: int) -> LabeledReference:
             open_field = None
         else:
             if open_field is not None:
-                raise DataError(
-                    f"<{name}> nested inside <{open_field}>: nesting is not allowed",
-                    lineno,
-                )
+                raise DataError(f"<{name}> nested inside <{open_field}>: nesting is not allowed",
+                                lineno)
             open_field = name
             open_start = length
         pos = m.end()
     if open_field is not None:
         raise DataError(f"unclosed tag <{open_field}>", lineno)
-    tail = _unescape(line[pos:])
-    raw_parts.append(tail)
+    raw_parts.append(_unescape(line[pos:]))
     raw = "".join(raw_parts).rstrip()
     tokens = tokenize(raw)
     tags = tags_from_spans(tokens, [s for s in spans if s[2] > s[1]])
@@ -150,13 +161,14 @@ def read_inline_xml(path, name: str | None = None) -> Corpus:
                 continue
             if line.startswith("#"):
                 continue
+            lower = line.lower()  # tags match in any case, as in _parse_inline_line
             if pending:
                 pending.append(line)
-                if "</ref>" in line:
+                if "</ref>" in lower:
                     instances.append(_parse_inline_line(" ".join(pending), pending_line))
                     pending = []
                 continue
-            if "<ref>" in line and "</ref>" not in line:
+            if "<ref>" in lower and "</ref>" not in lower:
                 pending = [line]
                 pending_line = lineno
                 continue
@@ -164,21 +176,16 @@ def read_inline_xml(path, name: str | None = None) -> Corpus:
     if pending:
         raise DataError("unterminated <ref> block", pending_line)
     labels = declared if declared is not None else observed_labels(instances)
-    return Corpus(
-        name=name or str(path), labels=labels, instances=tuple(instances)
-    )
+    return Corpus(name=name or str(path), labels=labels, instances=tuple(instances))
 
 
 def write_inline_xml(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#labels: " + ",".join(corpus.labels) + "\n")
-        for inst in corpus.instances:
-            fh.write(format_inline_xml(inst) + "\n")
+    _write(corpus, path, format_inline_xml)
 
 
 def format_inline_xml(inst: LabeledReference) -> str:
-    """One reference as a single inline-XML line, wrapped in <ref>...</ref>
-    when it would start with "#"."""
+    """One reference as a single inline-XML line, "\\n" and "\\r" (whitespace to
+    the tokenizer) written as spaces, wrapped in <ref>...</ref> if blank or "#..."."""
     out: list[str] = []
     cursor = 0
     for field, first, last in _spans(inst.tags):
@@ -187,8 +194,8 @@ def format_inline_xml(inst: LabeledReference) -> str:
         out.append(f"<{field}>{_escape(inst.raw[start:end])}</{field}>")
         cursor = end
     out.append(_escape(inst.raw[cursor:]))
-    line = "".join(out)
-    return f"<ref>{line}</ref>" if line.lstrip().startswith("#") else line
+    line = "".join(out).replace("\n", " ").replace("\r", " ")
+    return line if line.lstrip()[:1] not in ("", "#") else f"<ref>{line}</ref>"
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +212,11 @@ def read_conll(path, name: str | None = None) -> Corpus:
     def flush() -> None:
         if not rows:
             return
-        surfaces = [r[0] for r in rows]
-        raw = " ".join(surfaces)
-        tokens = []
-        pos = 0
-        for s in surfaces:
-            tokens.append(Token(s, pos, pos + len(s)))
-            pos += len(s) + 1
+        surfaces, tags, _ = zip(*rows)
+        starts = accumulate((len(s) + 1 for s in surfaces), initial=0)
+        tokens = tuple(Token(s, start, start + len(s)) for s, start in zip(surfaces, starts))
         try:
-            instances.append(
-                LabeledReference(raw=raw, tokens=tuple(tokens), tags=tuple(r[1] for r in rows))
-            )
+            instances.append(LabeledReference(raw=" ".join(surfaces), tokens=tokens, tags=tags))
         except StructuralError as exc:
             raise DataError(str(exc), rows[0][2]) from None
         rows.clear()
@@ -226,19 +227,16 @@ def read_conll(path, name: str | None = None) -> Corpus:
             if not line.strip():
                 flush()
                 continue
-            if line.startswith("#labels:"):
-                declared = _parse_labels_header(line, lineno)
-                continue
-            if line.startswith("#"):
-                continue
             parts = line.split("\t")
+            if line.startswith("#") and (len(parts) != 2 or parts[1] not in _PREDECESSORS):
+                if line.startswith("#labels:"):
+                    declared = _parse_labels_header(line, lineno)
+                continue  # a comment; "#<TAB>tag" is a token
             if len(parts) != 2 or not parts[0]:
                 raise DataError(f"expected 'surface<TAB>tag', got {line!r}", lineno)
             surface, tag = parts
-            if tag != OUT:
-                kind, _, fname = tag.partition("-")
-                if kind not in ("B", "I") or not is_field_label(fname):
-                    raise DataError(f"malformed tag {tag!r}", lineno)
+            if tag not in _PREDECESSORS:
+                raise DataError(f"malformed tag {tag!r}", lineno)
             rows.append((surface, tag, lineno))
     flush()
     labels = declared if declared is not None else observed_labels(instances)
@@ -246,31 +244,32 @@ def read_conll(path, name: str | None = None) -> Corpus:
 
 
 def write_conll(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#labels: " + ",".join(corpus.labels) + "\n")
-        for inst in corpus.instances:
-            for token, tag in zip(inst.tokens, inst.tags):
-                fh.write(f"{token.surface}\t{tag}\n")
-            fh.write("\n")
+    _write(corpus, path, format_conll)
+
+
+def format_conll(inst: LabeledReference) -> str:
+    """One reference's token lines, each with its line break, so the break after
+    them leaves a blank line. CoNLL cannot hold a reference with no tokens."""
+    if not inst.tokens:
+        raise UsageError(f"CoNLL cannot hold a reference with no tokens: {inst.raw!r}")
+    return "".join(f"{token.surface}\t{tag}\n" for token, tag in zip(inst.tokens, inst.tags))
+
+
+def _is_conll(path) -> bool:
+    """The format of a corpus path: .conll/.tsv is CoNLL, anything else inline XML."""
+    return str(path).rsplit(".", 1)[-1].lower() in ("conll", "tsv")
 
 
 def read_corpus(path, name: str | None = None) -> Corpus:
-    """Dispatch on extension: .conll/.tsv -> CoNLL, anything else inline XML."""
-    suffix = str(path).rsplit(".", 1)[-1].lower()
+    """Read a corpus in the format its extension names (`_is_conll`)."""
     try:
-        if suffix in ("conll", "tsv"):
-            return read_conll(path, name=name)
-        return read_inline_xml(path, name=name)
+        return (read_conll if _is_conll(path) else read_inline_xml)(path, name=name)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    suffix = str(path).rsplit(".", 1)[-1].lower()
-    if suffix in ("conll", "tsv"):
-        write_conll(corpus, path)
-    else:
-        write_inline_xml(corpus, path)
+    (write_conll if _is_conll(path) else write_inline_xml)(corpus, path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
+import os
 from pathlib import Path
 
 import pytest
 
-import refparse as rp
+# BLAS on one thread, set before numpy loads: a second OpenBLAS thread waits
+# for a busy core, so on a shared machine the suite's time swung with the load
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import refparse as rp  # noqa: E402
 from refparse.crf import TrainConfig, train
 from refparse.features import FeatureConfig
 

@@ -1,5 +1,7 @@
 import base64
+import dataclasses
 import gzip
+import io
 import json
 import math
 
@@ -8,7 +10,7 @@ import pytest
 import refparse as rp
 from refparse import cli, labels
 from refparse.cli import run
-from refparse.corpus import format_inline_xml
+from refparse.corpus import format_conll, format_inline_xml
 from refparse.crf import empty_model, save_model
 from refparse.features import MAX_WINDOW, FeatureConfig, FeatureIndex
 from refparse.labels import check_iob2
@@ -39,6 +41,8 @@ def test_help_exits_zero(capsys):
             ("--l2", "FLOAT", "1.0]"),
             ("--max-epochs", "INTEGER", "200]"),
             ("--tol", "FLOAT", "0.0001]"),
+            *((("--window", "INTEGER", "2]"), ("--min-count", "INTEGER", "1]"))
+              if command == "train" else ()),
         ):
             at = out.index(flag)
             assert out[at + 1 : at + 4] == [kind, "[default:", default], command
@@ -505,6 +509,31 @@ def test_parse_across_chunks_matches_line_by_line_decode(
     assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
 
+@pytest.mark.parametrize("source", ["in", "stdin"])
+@pytest.mark.parametrize("out_format", ["inline", "conll"])
+def test_parse_line_ends_only_at_newline_and_carriage_return(
+    out_format, source, tmp_path, small_model_and_eval, monkeypatch
+):
+    model, eval_c = small_model_and_eval
+    model_path = tmp_path / "model.gz"
+    save_model(model, model_path)
+    # breaks that str.splitlines knows but universal-newline reading does not
+    breaks = ["\x0c", "\x85", "\u2028", "\u2029", "\x0b", "\x1c"]
+    refs = [inst.raw.replace(" ", brk, 2) for inst, brk in zip(eval_c.instances, breaks)]
+    text = "".join(ref + end for ref, end in zip(refs, ["\n", "\r\n", "\r"] * 2))
+    argv = ["parse", "--model", str(model_path), "--format", out_format]
+    if source == "in":
+        (tmp_path / "refs.txt").write_bytes(text.encode("utf-8"))
+        argv += ["--in", str(tmp_path / "refs.txt")]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=""))
+    out = tmp_path / "parsed.txt"
+    assert run(argv + ["--out", str(out)]) == 0
+    format_one = format_inline_xml if out_format == "inline" else format_conll
+    want = "".join(format_one(rp.decode(model, ref)) + "\n" for ref in refs)
+    assert out.read_bytes() == want.encode("utf-8")
+
+
 def test_parse_checks_each_line_iob2_once(tmp_path, small_model_and_eval, monkeypatch):
     model, eval_c = small_model_and_eval
     model_path = tmp_path / "model.gz"
@@ -655,3 +684,26 @@ def test_tokenize_subcommand(tmp_path, capsys):
     assert run(["tokenize", "--in", str(src)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "vol\t0\t3"
+
+
+def test_tokenize_lines_end_only_at_newline_and_carriage_return(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_bytes("a\x0cb\u2028c\rd\r\ne\n".encode("utf-8"))
+    assert run(["tokenize", "--in", str(src)]) == 0
+    assert capsys.readouterr().out == "a\t0\t1\nb\t2\t3\nc\t4\t5\n\nd\t0\t1\n\ne\t0\t1\n\n"
+
+
+def test_line_breaks_in_record_text_survive_generate_and_train(tmp_path):
+    records = [
+        dataclasses.replace(r, title=r.title.replace(" ", "\n", 1).replace(" ", "\r", 1))
+        for r in rp.random_records(20, seed=3)
+    ]
+    records_path, corpus, model = tmp_path / "r.jsonl", tmp_path / "c.xml", tmp_path / "m.gz"
+    rp.write_records(records, records_path)
+    assert run(["generate", "--records", str(records_path), "--styles", "builtin:B",
+                "--n", "30", "--seed", "5", "--out", str(corpus)]) == 0
+    assert run(["train", str(corpus), "--model", str(model),
+                "--max-epochs", "5", "--tol", "1e-2"]) == 0
+    got = rp.read_corpus(corpus).instances
+    assert len(got) == 30
+    assert any("title" in inst.fields() for inst in got)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import refparse as rp
-from refparse.corpus import Corpus, format_inline_xml, observed_labels
+from refparse.corpus import Corpus, format_conll, format_inline_xml, observed_labels
 from refparse.errors import DataError, UsageError
 from refparse.labels import segments_from_tags
 
@@ -68,6 +68,13 @@ class TestInlineXml:
         corpus = rp.read_inline_xml(path)
         (inst,) = corpus.instances
         assert inst.fields() == {"author", "title"}
+
+    @pytest.mark.parametrize("opening,closing", [("<REF>", "</REF>"), ("<Ref>", "</rEf>")])
+    def test_ref_block_tags_in_any_case(self, tmp_path, opening, closing):
+        # the line parser reads tag names in any case, so the block test must too
+        path = write(tmp_path / "c.xml", [f"{opening}<author>Smith</author>,", f"2019.{closing}"])
+        (inst,) = rp.read_inline_xml(path).instances
+        assert (inst.raw, inst.tags) == ("Smith, 2019.", ("B-author", "O", "O", "O"))
 
     def test_labels_header_declares_subset(self, tmp_path):
         path = write(tmp_path / "c.xml", ["#labels: author,title,date", FIG1_LINE])
@@ -133,6 +140,29 @@ class TestConll:
         out = tmp_path / "e.conll"
         rp.write_conll(corpus, out)
         assert out.read_text(encoding="utf-8") == "#labels: author\n"
+
+    def test_hash_token_lines_are_tokens(self, tmp_path):
+        path = write(tmp_path / "c.conll", [
+            "#labels: author,volume",
+            "# a comment",
+            "Smith\tB-author", "vol\tO", "#\tO", "3\tB-volume", "",
+            "#\tB-volume", "#not-a-tag\tB-bogus", "3\tI-volume", "",
+        ])
+        corpus = rp.read_conll(path)
+        assert corpus.labels == ("author", "volume")
+        assert [(i.surfaces(), i.tags) for i in corpus.instances] == [
+            (("Smith", "vol", "#", "3"), ("B-author", "O", "O", "B-volume")),
+            (("#", "3"), ("B-volume", "I-volume")),
+        ]
+
+    def test_reference_without_tokens_cannot_be_written(self, tmp_path):
+        blank = rp.LabeledReference(raw=" ", tokens=(), tags=())
+        corpus = Corpus(name="c", labels=(), instances=(blank,))
+        with pytest.raises(UsageError, match="no tokens"):
+            format_conll(blank)
+        with pytest.raises(UsageError, match="no tokens"):
+            rp.write_corpus(corpus, tmp_path / "c.conll")
+        assert not (tmp_path / "c.conll").exists()
 
 
 class TestSplit:
@@ -268,9 +298,8 @@ _WORDS = st.lists(
 )
 
 
-@given(_WORDS, st.data())
-def test_format_inline_xml_reads_back_to_the_same_tags(tmp_path_factory, words, data):
-    raw = " ".join(words)
+def _tagged(data, raw):
+    """`raw` tokenized, with IOB2 tags drawn at random."""
     tokens = rp.tokenize(raw)
     # per token a field or None for O, and whether it opens a new run
     choices = data.draw(st.lists(
@@ -282,7 +311,13 @@ def test_format_inline_xml_reads_back_to_the_same_tags(tmp_path_factory, words, 
         kind = "B" if begin or prev != field else "I"
         tags.append("O" if field is None else f"{kind}-{field}")
         prev = field
-    inst = rp.LabeledReference(raw=raw, tokens=tokens, tags=tuple(tags))
+    return rp.LabeledReference(raw=raw, tokens=tokens, tags=tuple(tags))
+
+
+@given(_WORDS, st.data())
+def test_format_inline_xml_reads_back_to_the_same_tags(tmp_path_factory, words, data):
+    raw = " ".join(words)
+    inst = _tagged(data, raw)
     path = tmp_path_factory.getbasetemp() / "round_trip.xml"
     path.write_text(format_inline_xml(inst) + "\n", encoding="utf-8")
     (back,) = rp.read_inline_xml(path).instances
@@ -311,3 +346,24 @@ def test_reference_starting_with_hash_survives_a_corpus_round_trip(tmp_path):
     ]
     back = rp.read_corpus(path)
     assert [(i.raw, i.tags) for i in back.instances] == [(i.raw, i.tags) for i in instances]
+
+
+# any text, mixed with words that hold a comment's "#" or a line break
+_RAW = st.lists(
+    st.one_of(st.text(), st.sampled_from(["#", "#3", "a\nb", "\r", "\r\n#", "x\n\n", "#\r"])),
+    max_size=6,
+).map("".join)
+
+
+@pytest.mark.parametrize("suffix", ["xml", "conll"])
+@given(raw=_RAW, data=st.data())
+def test_every_written_reference_reads_back(tmp_path_factory, suffix, raw, data):
+    inst = _tagged(data, raw)
+    if suffix == "conll":
+        assume(inst.tokens)  # CoNLL cannot hold a reference with no tokens
+    path = tmp_path_factory.getbasetemp() / f"any_text.{suffix}"
+    rp.write_corpus(Corpus(name="c", labels=("author", "title"), instances=(inst,)), path)
+    (back,) = rp.read_corpus(path).instances
+    assert (back.surfaces(), back.tags) == (inst.surfaces(), inst.tags)
+    if suffix == "xml":
+        assert back.raw.split() == raw.split()
