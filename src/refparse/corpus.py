@@ -156,17 +156,17 @@ def read_inline_xml(path, name: str | None = None) -> Corpus:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#labels:"):
-                declared = _parse_labels_header(line, lineno)
-                continue
-            if line.startswith("#"):
-                continue
             lower = line.lower()  # tags match in any case, as in _parse_inline_line
-            if pending:
+            if pending:  # a line inside an open block belongs to it, "#" or not
                 pending.append(line)
                 if "</ref>" in lower:
                     instances.append(_parse_inline_line(" ".join(pending), pending_line))
                     pending = []
+                continue
+            if line.startswith("#labels:"):
+                declared = _parse_labels_header(line, lineno)
+                continue
+            if line.startswith("#"):
                 continue
             if "<ref>" in lower and "</ref>" not in lower:
                 pending = [line]

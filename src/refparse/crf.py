@@ -70,7 +70,7 @@ import numpy as np
 from scipy import sparse
 
 from . import optim
-from .errors import DataError, NumericError, StructuralError, UsageError
+from .errors import DataError, NumericError, StructuralError, UsageError, check_number
 from .features import FeatureConfig, FeatureIds, FeatureIndex, ones_matrix, training_factors
 from .labels import (
     OUT,
@@ -128,6 +128,9 @@ class TrainConfig:
     tol: float = 1e-4
 
     def __post_init__(self) -> None:
+        check_number("l2", self.l2)
+        check_number("max_epochs", self.max_epochs, integer=True)
+        check_number("tol", self.tol)
         if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise UsageError(f"l2 strength must be finite and >= 0, got {self.l2}")
         if not (np.isfinite(self.tol) and self.tol > 0):

@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the type check that the
+config constructors share.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 everything else derived from RefparseError -> 3.
 """
+
+import numbers
 
 
 class RefparseError(Exception):
@@ -33,3 +36,13 @@ class StructuralError(RefparseError):
 
 class NumericError(RefparseError):
     """A numeric computation produced NaN or otherwise went off the rails."""
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """UsageError naming `name` unless `value` is an integer or, when not
+    `integer`, any real number; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ):
+        kind = "an integer" if integer else "a number"
+        raise UsageError(f"{name} must be {kind}, got {value!r}")

@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError, StructuralError, UsageError
+from .corpus import text_lines
+from .errors import DataError, StructuralError, UsageError, check_number
 
 _GAZETTEER_FILES = ("months", "ordinals", "containers")
 
@@ -41,12 +42,13 @@ MAX_WINDOW = 16
 
 
 def load_gazetteer_file(path) -> frozenset[str]:
-    """Read one word list: UTF-8, one lowercase word per line, '#' comments.
+    """Read one word list: UTF-8, one lowercase word per line (lines end as
+    in `corpus.text_lines`), '#' comments.
 
     Accepts anything with read_text (pathlib.Path, importlib resources).
     """
     words = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text_lines(path.read_text(encoding="utf-8")):
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.lower())
@@ -76,6 +78,8 @@ class FeatureConfig:
     min_count: int = 1
 
     def __post_init__(self) -> None:
+        check_number("window", self.window, integer=True)
+        check_number("min_count", self.min_count, integer=True)
         if not 0 <= self.window <= MAX_WINDOW:
             raise UsageError(f"window must be in 0..{MAX_WINDOW}, got {self.window}")
         if self.min_count < 1:
@@ -97,9 +101,9 @@ class FeatureConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureConfig":
         """Inverse of `to_dict`. A fixed template recorded with another value,
-        or a value of the wrong JSON type (`window` and `min_count` integers,
-        `use_gazetteers` a bool, `gazetteers` an object of string lists),
-        raises DataError naming it; `use_gazetteers` false drops the lists."""
+        a `use_gazetteers` that is not a bool, or `gazetteers` that are not an
+        object of string lists, raises DataError naming it (the constructor
+        checks the rest); `use_gazetteers` false drops the lists."""
         for key, value in _FIXED_TEMPLATES.items():
             if data[key] != value:
                 raise DataError(
@@ -112,8 +116,6 @@ class FeatureConfig:
             for words in gaz.values()
         )
         for key, ok, kind in (
-            ("window", type(data["window"]) is int, "an integer"),  # not a bool
-            ("min_count", type(data["min_count"]) is int, "an integer"),
             ("use_gazetteers", type(data["use_gazetteers"]) is bool, "a bool"),
             ("gazetteers", string_lists, "an object of string lists"),
         ):

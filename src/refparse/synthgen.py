@@ -6,8 +6,8 @@ The template mini-language has three constructs:
 
 * ``<field>`` - a slot, rendered from the record and recorded as a span;
 * ``[ ... ]`` - a group, emitted only when every slot directly inside it has
-  a value (groups may nest one level, and a group whose direct content is
-  only literals requires at least one rendered nested group);
+  a value and, if it holds no slot but holds groups, at least one of those
+  is emitted (groups may nest one level);
 * everything else is literal text, never covered by a span. ``\\<`` ``\\[``
   etc. escape the special characters.
 
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, observed_labels, seeded_rng
+from .corpus import Corpus, observed_labels, seeded_rng, text_lines
 from .errors import DataError, TemplateError, UsageError
 from .labels import LabeledReference
 from .tokenizer import tags_from_spans, tokenize
@@ -198,50 +198,40 @@ class StyleTemplate:
     pages_sep: str = "-"
 
 
+# a format-string token: an escaped character, literal text (a lone final
+# backslash too), a slot (its ">" missing when unterminated) or a bracket
+_TOKEN = re.compile(
+    r"\\(?P<escaped>.)|(?P<text>[^\\<\[\]]+|\\\Z)"
+    r"|<(?P<slot>[^>]*)(?P<close>>?)|(?P<bracket>[\[\]])",
+    re.DOTALL,
+)
+
+
 def parse_template(fmt: str, source: str = "<template>") -> tuple:
     """Parse a format string into template elements."""
     stack: list[list] = [[]]
-    buf: list[str] = []
-
-    def flush() -> None:
-        if buf:
-            stack[-1].append(Literal("".join(buf)))
-            buf.clear()
-
-    i = 0
-    while i < len(fmt):
-        ch = fmt[i]
-        if ch == "\\" and i + 1 < len(fmt):
-            buf.append(fmt[i + 1])
-            i += 2
-            continue
-        if ch == "<":
-            end = fmt.find(">", i)
-            if end < 0:
-                raise TemplateError(f"{source}: unterminated slot at column {i}")
-            name = fmt[i + 1 : end]
-            if name not in SLOT_NAMES:
-                raise TemplateError(f"{source}: unknown slot <{name}>")
-            flush()
-            stack[-1].append(Slot(name))
-            i = end + 1
-        elif ch == "[":
-            flush()
+    for m in _TOKEN.finditer(fmt):
+        slot, bracket = m.group("slot", "bracket")
+        if slot is not None:
+            if not m.group("close"):
+                raise TemplateError(f"{source}: unterminated slot at column {m.start()}")
+            if slot not in SLOT_NAMES:
+                raise TemplateError(f"{source}: unknown slot <{slot}>")
+            stack[-1].append(Slot(slot))
+        elif bracket == "[":
             if len(stack) > 2:
                 raise TemplateError(f"{source}: groups nest at most two deep")
             stack.append([])
-            i += 1
-        elif ch == "]":
-            flush()
+        elif bracket == "]":
             if len(stack) == 1:
                 raise TemplateError(f"{source}: unbalanced ']'")
             group = Group(tuple(stack.pop()))
             stack[-1].append(group)
-            i += 1
         else:
-            buf.append(ch)
-            i += 1
-    flush()
+            text = m.group("escaped") or m.group("text")
+            if stack[-1] and isinstance(stack[-1][-1], Literal):  # merge adjacent text
+                text = stack[-1].pop().text + text
+            stack[-1].append(Literal(text))
     if len(stack) != 1:
         raise TemplateError(f"{source}: unclosed '['")
     return tuple(stack[0])
@@ -263,7 +253,7 @@ _CHOICES = {
 
 def parse_style_text(text: str, source: str = "<style>") -> StyleTemplate:
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -299,9 +289,7 @@ def parse_style_text(text: str, source: str = "<style>") -> StyleTemplate:
 
 
 def read_style(path) -> StyleTemplate:
-    return parse_style_text(
-        path.read_text(encoding="utf-8"), source=str(path)
-    )
+    return parse_style_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
 def builtin_styles() -> list[StyleTemplate]:
@@ -311,12 +299,8 @@ def builtin_styles() -> list[StyleTemplate]:
     flavored) and "B" (numeric/initials-first flavored) for out-of-sample
     experiments.
     """
-    root = resources.files("refparse") / "styles"
-    styles = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".style"):
-            styles.append(read_style(entry))
-    return styles
+    entries = sorted((resources.files("refparse") / "styles").iterdir(), key=lambda e: e.name)
+    return [read_style(entry) for entry in entries if entry.name.endswith(".style")]
 
 
 def style_family(family: str) -> list[StyleTemplate]:
@@ -429,52 +413,43 @@ def _render_elements(
     per_author: bool,
     top: bool,
 ) -> tuple[str, list[tuple[str, int, int]]] | None:
-    parts: list[str] = []
+    """Text and spans of `elements`; None for a group that does not render."""
+    text = ""
     spans: list[tuple[str, int, int]] = []
-    pos = 0
-    n_slots = 0
-    n_groups = 0
-    n_rendered_groups = 0
+    has_groups = rendered = False
     for el in elements:
         if isinstance(el, Literal):
-            parts.append(el.text)
-            pos += len(el.text)
+            part = el.text, ()
         elif isinstance(el, Slot):
-            n_slots += 1
-            rendered = _slot_parts(record, el, template, per_author)
-            if rendered is None:
+            part = _slot_parts(record, el, template, per_author)
+            if part is None:
                 if top:
                     raise TemplateError(
                         f"style {template.name!r}: record has no value for "
                         f"<{el.field}> outside any group"
                     )
                 return None
-            text, rel_spans = rendered
-            parts.append(text)
-            spans.extend((lbl, pos + s, pos + e) for lbl, s, e in rel_spans)
-            pos += len(text)
+            rendered = True
         else:
-            n_groups += 1
-            sub = _render_elements(el.elements, record, template, per_author, top=False)
-            if sub is None:
+            has_groups = True
+            part = _render_elements(el.elements, record, template, per_author, top=False)
+            if part is None:
                 continue
-            n_rendered_groups += 1
-            text, rel_spans = sub
-            parts.append(text)
-            spans.extend((lbl, pos + s, pos + e) for lbl, s, e in rel_spans)
-            pos += len(text)
-    if not top and n_slots == 0 and n_groups > 0 and n_rendered_groups == 0:
+            rendered = True
+        part_text, part_spans = part
+        for lbl, s, e in part_spans:  # a loop: extend() with a generator costs more per part
+            spans.append((lbl, len(text) + s, len(text) + e))
+        text += part_text
+    if has_groups and not rendered and not top:
         return None
-    return "".join(parts), spans
+    return text, spans
 
 
 def render(
     record: BibRecord, template: StyleTemplate, per_author: bool = False
 ) -> RenderedReference:
     """Deterministically render one record through one style."""
-    out = _render_elements(template.elements, record, template, per_author, top=True)
-    assert out is not None
-    text, spans = out
+    text, spans = _render_elements(template.elements, record, template, per_author, top=True)
     return RenderedReference(text=text, spans=tuple(spans))
 
 

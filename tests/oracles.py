@@ -3,7 +3,8 @@
 Everything here recomputes quantities by brute force (exhaustive path
 enumeration, direct summation, a token-by-span scan, a character-by-character
 tokenizer, a close-and-open segment walk, greedy segment matching, an
-L-BFGS that allocates every vector afresh) so the tests never trust the code
+L-BFGS that allocates every vector afresh, a character-stepping template
+parser and a counting template renderer) so the tests never trust the code
 path they check. Enumeration is vectorized over
 the full path table to keep hundreds of oracle comparisons fast.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from refparse import crf, metrics, optim
-from refparse.errors import StructuralError
+from refparse.errors import StructuralError, TemplateError
 from refparse.features import FeatureConfig, FeatureIndex
 from refparse.labels import (
     FIELD_LABELS,
@@ -30,6 +31,7 @@ from refparse.labels import (
     tag_field,
     tag_kind,
 )
+from refparse.synthgen import SLOT_NAMES, Group, Literal, Slot, _slot_parts
 
 FIELDS = ("author", "title", "date")
 
@@ -361,3 +363,99 @@ def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptRe
         x=x, value=f, log=log, converged=converged, n_evals=n_evals,
         grad_norm=float(np.linalg.norm(g)),
     )
+
+
+def parse_template(fmt: str, source: str = "<template>") -> tuple:
+    """The template parser one character at a time: escapes and text go to a
+    literal buffer that a slot, a bracket or the end flushes."""
+    stack: list[list] = [[]]
+    buf: list[str] = []
+
+    def flush() -> None:
+        if buf:
+            stack[-1].append(Literal("".join(buf)))
+            buf.clear()
+
+    i = 0
+    while i < len(fmt):
+        ch = fmt[i]
+        if ch == "\\" and i + 1 < len(fmt):
+            buf.append(fmt[i + 1])
+            i += 2
+            continue
+        if ch == "<":
+            end = fmt.find(">", i)
+            if end < 0:
+                raise TemplateError(f"{source}: unterminated slot at column {i}")
+            name = fmt[i + 1 : end]
+            if name not in SLOT_NAMES:
+                raise TemplateError(f"{source}: unknown slot <{name}>")
+            flush()
+            stack[-1].append(Slot(name))
+            i = end + 1
+        elif ch == "[":
+            flush()
+            if len(stack) > 2:
+                raise TemplateError(f"{source}: groups nest at most two deep")
+            stack.append([])
+            i += 1
+        elif ch == "]":
+            flush()
+            if len(stack) == 1:
+                raise TemplateError(f"{source}: unbalanced ']'")
+            group = Group(tuple(stack.pop()))
+            stack[-1].append(group)
+            i += 1
+        else:
+            buf.append(ch)
+            i += 1
+    flush()
+    if len(stack) != 1:
+        raise TemplateError(f"{source}: unclosed '['")
+    return tuple(stack[0])
+
+
+def _render_elements(elements, record, template, per_author: bool, top: bool):
+    """The renderer counting slots, groups and rendered groups: a group with
+    no slot, some groups and no rendered group does not render."""
+    parts: list[str] = []
+    spans: list[tuple[str, int, int]] = []
+    pos = 0
+    n_slots = n_groups = n_rendered_groups = 0
+    for el in elements:
+        if isinstance(el, Literal):
+            parts.append(el.text)
+            pos += len(el.text)
+        elif isinstance(el, Slot):
+            n_slots += 1
+            rendered = _slot_parts(record, el, template, per_author)
+            if rendered is None:
+                if top:
+                    raise TemplateError(
+                        f"style {template.name!r}: record has no value for "
+                        f"<{el.field}> outside any group"
+                    )
+                return None
+            text, rel_spans = rendered
+            parts.append(text)
+            spans.extend((lbl, pos + s, pos + e) for lbl, s, e in rel_spans)
+            pos += len(text)
+        else:
+            n_groups += 1
+            sub = _render_elements(el.elements, record, template, per_author, top=False)
+            if sub is None:
+                continue
+            n_rendered_groups += 1
+            text, rel_spans = sub
+            parts.append(text)
+            spans.extend((lbl, pos + s, pos + e) for lbl, s, e in rel_spans)
+            pos += len(text)
+    if not top and n_slots == 0 and n_groups > 0 and n_rendered_groups == 0:
+        return None
+    return "".join(parts), spans
+
+
+def render(record, template, per_author: bool = False) -> tuple[str, tuple]:
+    """(text, spans) of `synthgen.render` by the counting renderer."""
+    text, spans = _render_elements(template.elements, record, template, per_author, top=True)
+    return text, tuple(spans)

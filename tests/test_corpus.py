@@ -69,6 +69,14 @@ class TestInlineXml:
         (inst,) = corpus.instances
         assert inst.fields() == {"author", "title"}
 
+    def test_hash_line_inside_ref_block_belongs_to_it(self, tmp_path):
+        path = write(
+            tmp_path / "c.xml", ["<ref><author>Smith</author>,", "#3 2019.</ref>", "Doe 2020."]
+        )
+        back = rp.read_inline_xml(path).instances
+        assert [inst.raw for inst in back] == ["Smith, #3 2019.", "Doe 2020."]
+        assert back[0].tags == ("B-author", "O", "O", "O", "O", "O")
+
     @pytest.mark.parametrize("opening,closing", [("<REF>", "</REF>"), ("<Ref>", "</rEf>")])
     def test_ref_block_tags_in_any_case(self, tmp_path, opening, closing):
         # the line parser reads tag names in any case, so the block test must too

@@ -105,6 +105,16 @@ def test_train_config_rejects_non_finite(field, value):
         crf.TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("max_epochs", 2.5), ("max_epochs", True), ("max_epochs", "9"), ("l2", True),
+     ("l2", "1"), ("tol", "x"), ("tol", None)],
+)
+def test_train_config_rejects_values_of_another_type(field, value):
+    with pytest.raises(UsageError, match=field):
+        crf.TrainConfig(**{field: value})
+
+
 class TestScorePath:
     def test_zero_weights_score_zero(self):
         m = unconstrained_model(2)

@@ -136,6 +136,23 @@ def test_config_rejects_bad_numbers(kwargs):
         FeatureConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("window", 2.0), ("window", True), ("window", "2"), ("min_count", 1.5),
+     ("min_count", True), ("min_count", None)],
+)
+def test_config_rejects_numbers_of_another_type(field, value):
+    with pytest.raises(UsageError, match=field):
+        FeatureConfig(**{field: value})
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\x0c", "\u2028"])
+def test_word_list_lines_end_only_at_line_breaks(tmp_path, separator):
+    path = tmp_path / "places.txt"
+    path.write_text(f"# places\nnew{separator}york\r\nBoston\rparis\n", encoding="utf-8")
+    assert features.load_gazetteer_file(path) == {f"new{separator}york", "boston", "paris"}
+
+
 def test_config_accepts_the_widest_window():
     assert FeatureConfig(window=MAX_WINDOW).window == MAX_WINDOW
 

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 import refparse as rp
 from refparse.errors import TemplateError, UsageError
 from refparse.labels import check_iob2, normalize_segment_text
 from refparse.synthgen import (
+    SLOT_NAMES,
     StyleTemplate,
     format_authors,
     Group,
@@ -82,6 +86,22 @@ class TestTemplateParsing:
         with pytest.raises(TemplateError):
             parse_template("[a[b[c<title>]]]")
 
+    def test_adjacent_text_and_escapes_merge_into_one_literal(self):
+        assert parse_template("a\\<b\\[c") == (Literal("a<b[c"),)
+        assert parse_template("x\\") == (Literal("x\\"),)  # a lone final backslash is text
+
+    def test_error_messages(self):
+        for fmt, message in [
+            ("ab<title", "<template>: unterminated slot at column 2"),
+            ("<title> <doi>", "<template>: unknown slot <doi>"),
+            ("[[[", "<template>: groups nest at most two deep"),
+            ("<title>]", "<template>: unbalanced ']'"),
+            ("[<title>", "<template>: unclosed '['"),
+        ]:
+            with pytest.raises(TemplateError) as err:
+                parse_template(fmt)
+            assert str(err.value) == message
+
     def test_style_file_values(self):
         tmpl = parse_style_text(
             'name: x\nauthor-sep: ", "\net-al-min: 3\nformat: <title>\n'
@@ -153,6 +173,18 @@ class TestRender:
         out = rp.render(rec, s)
         assert out.text == "T."
 
+    def test_group_of_groups_vanishes_with_its_groups(self):
+        # no slot directly inside the outer group, so it needs a nested one
+        s = style(format="<title>[, [vol. <volume>][no. <issue>]].")
+        rec = rp.BibRecord(authors=(), title="T", year=2000)
+        assert rp.render(rec, s).text == "T."
+        rec = rp.BibRecord(authors=(), title="T", year=2000, issue="4")
+        assert rp.render(rec, s).text == "T, no. 4."
+
+    def test_group_with_a_slot_renders_without_its_groups(self):
+        s = style(format="[<title>[, vol. <volume>]].")
+        assert rp.render(rp.BibRecord(authors=(), title="T", year=2000), s).text == "T."
+
     def test_bare_slot_missing_is_template_error(self):
         s = style(format="<title>, vol. <volume>.")
         rec = rp.BibRecord(authors=(), title="T", year=2000)
@@ -198,6 +230,57 @@ class TestRender:
         many = rp.render(rec, s, per_author=True)
         assert sum(1 for f, _, _ in one.spans if f == "author") == 1
         assert sum(1 for f, _, _ in many.spans if f == "author") == 3
+
+
+# format-string pieces: every special character, escapes, valid and unknown
+# slots, and text
+_PIECES = st.sampled_from(
+    ["<", ">", "[", "]", "\\", "\\<", "\\[", "\\]", "\\\\", "<doi>", "<>", "<ti tle>",
+     *(f"<{name}>" for name in sorted(SLOT_NAMES))]
+) | st.text(max_size=4)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except TemplateError as exc:
+        return f"TemplateError: {exc}"
+
+
+@given(fmt=st.lists(_PIECES, max_size=12).map("".join))
+def test_parse_template_matches_the_reference(fmt):
+    assert _outcome(lambda: parse_template(fmt)) == _outcome(lambda: oracles.parse_template(fmt))
+
+
+def _formats(depth: int = 0):
+    """Format strings that parse: pieces without brackets, and groups."""
+    atoms = st.sampled_from(
+        ["\\[", "\\]", ", ", ". ", "(", ")", *(f"<{name}>" for name in sorted(SLOT_NAMES))]
+    ) | st.text(alphabet=" ,.;:()-abc", max_size=3)
+    if depth < 2:
+        atoms = atoms | _formats(depth + 1).map(lambda inner: f"[{inner}]")
+    return st.lists(atoms, max_size=6).map("".join)
+
+
+@given(fmt=_formats())
+def test_render_matches_the_reference(fmt, fixture_records):
+    s = style(format=fmt)
+    for record in fixture_records:
+        for per_author in (False, True):
+            ours = _outcome(lambda: rp.render(record, s, per_author=per_author))
+            if not isinstance(ours, str):
+                ours = ours.text, ours.spans
+            assert ours == _outcome(lambda: oracles.render(record, s, per_author=per_author))
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\x0c", "\u2028"])
+def test_style_lines_end_only_at_line_breaks(separator):
+    # a line ends at "\n", "\r" or "\r\n" only, as corpus lines do
+    text = f"name: x\nauthor-sep: a{separator}b\nformat: <title>{separator}<date>\n"
+    tmpl = parse_style_text(text)
+    assert tmpl.author_sep == f"a{separator}b"
+    assert tmpl.elements == (Slot("title"), Literal(separator), Slot("date"))
+    assert parse_style_text("name: x\rformat: <title>\r\n") == style(name="x")
 
 
 class TestBuiltinStyles:
