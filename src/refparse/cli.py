@@ -111,9 +111,8 @@ def _resolve_styles(spec: str):
 @click.option("--n", "n", required=True, type=int, help="Number of instances.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--per-author", is_flag=True, help="One author span per author.")
-@click.option("--name", default="synthetic", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def generate(records_path, styles, n, seed, per_author, name, out_path):
+def generate(records_path, styles, n, seed, per_author, out_path):
     """Render records through styles into a labeled corpus."""
     corpus = generate_corpus(
         read_records(records_path),
@@ -121,7 +120,6 @@ def generate(records_path, styles, n, seed, per_author, name, out_path):
         n=n,
         seed=seed,
         per_author=per_author,
-        name=name,
     )
     write_corpus(corpus, out_path)
     click.echo(f"wrote {len(corpus)} instances to {out_path}", err=True)

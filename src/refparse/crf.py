@@ -62,6 +62,7 @@ import gzip
 import io
 import json
 import logging
+import sys
 import zlib
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Sequence
@@ -131,10 +132,11 @@ class TrainConfig:
         check_number("l2", self.l2)
         check_number("max_epochs", self.max_epochs, integer=True)
         check_number("tol", self.tol)
-        if not (np.isfinite(self.l2) and self.l2 >= 0):
-            raise UsageError(f"l2 strength must be finite and >= 0, got {self.l2}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise UsageError(f"tolerance must be finite and > 0, got {self.tol}")
+        # chained comparisons are exact for ints past the float range too
+        if not 0 <= self.l2 <= sys.float_info.max:
+            raise UsageError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not 0 < self.tol <= sys.float_info.max:
+            raise UsageError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_epochs < 1:
             raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
 

@@ -54,8 +54,8 @@ class ExperimentPlan:
     out_dir: str
 
     def __post_init__(self) -> None:
-        if list(self.sizes) != sorted(self.sizes):
-            raise UsageError("plan sizes must be sorted ascending")
+        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
+            raise UsageError(f"plan sizes must be strictly ascending, got {list(self.sizes)}")
         if any(size < 1 for size in self.sizes):
             raise UsageError(f"plan sizes must be >= 1, got {list(self.sizes)}")
         if self.seed < 0:

@@ -9,7 +9,10 @@ inference: a position's row is the sum of 2 * window + 3 keys, each one a
 surface (or bos/eos) at a window offset, a surface's affixes, or a position
 bucket. Training names each distinct token surface once
 (`training_factors`); at inference one cache (FeatureIds) holds each
-surface's key ids.
+surface's key ids, and `corpus_features` gives a position's names by
+expanding its keys. The name-level walk over each position's window, which
+names every position on its own, is kept in `tests/oracles.py` as the
+reference that this layout is checked against.
 """
 
 from __future__ import annotations
@@ -148,7 +151,8 @@ def _is_punct(s: str) -> bool:
 
 
 def _attributes(s: str, config: FeatureConfig) -> list[tuple[str, str]]:
-    """(template, value) pairs of one token; extract names them per offset."""
+    """(template, value) pairs of one token; `_token_names` names them per
+    offset."""
     low = s.lower()
     attrs = [("w", f"={low}"), ("shape", f"={word_shape(s)}")]
     if s.isdigit():
@@ -210,32 +214,6 @@ def _fixed_names(config: FeatureConfig) -> tuple[list[list[str]], ...]:
     )
 
 
-def _rows(tokens: Sequence[tuple], bos: list, eos: list, buckets: list) -> Iterator[list]:
-    """Every position's row in template order: the window offsets from
-    -window to +window (`bos`/`eos` past the ends), the center token's
-    affixes, then the position bucket. `tokens` holds each position's
-    (window parts, affixes) as `_token_names` returns them and the other
-    arguments are `_fixed_names`; the parts are names or their ids."""
-    n = len(tokens)
-    width = len(bos)
-    pad = width // 2
-    padded = [bos] * pad + [parts for parts, _ in tokens] + [eos] * pad
-    for position, ((_, affixes), bucket) in enumerate(zip(tokens, _buckets(n))):
-        row: list = []
-        for k, parts in enumerate(padded[position : position + width]):
-            row += parts[k]  # what the token k - pad away gives at that offset
-        row += affixes
-        row += buckets[bucket]
-        yield row
-
-
-def extract(surfaces: Sequence[str], config: FeatureConfig) -> list[list[str]]:
-    """Feature names for every position of one instance; a surface that
-    recurs in it has its names built once."""
-    names = {s: _token_names(s, config) for s in set(surfaces)}
-    return list(_rows([names[s] for s in surfaces], *_fixed_names(config)))
-
-
 @dataclass
 class FeatureIndex:
     """Frozen mapping from feature name to contiguous id starting at 0."""
@@ -266,7 +244,7 @@ _SURFACE_CACHE_SIZE = 1 << 14
 
 
 class FeatureIds:
-    """The inference path of `extract`, in the one key layout that
+    """Feature ids at inference, in the one key layout that
     `training_factors` also uses: `keys(instances)` gives the rows of their
     positions factored by surface, and each position's keys expand, in
     template order, to `index.lookup_many` of its names.
@@ -371,6 +349,23 @@ def build_index(feature_lists: Iterable[Sequence[str]], min_count: int = 1) -> F
     return FeatureIndex(names=tuple(n for n, c in counts.items() if c >= min_count))
 
 
+def _key_names(
+    instances: Sequence[Sequence[str]], config: FeatureConfig
+) -> tuple[list[list[str]], np.ndarray]:
+    """The name lists of the keys of the instances, in the layout of
+    `_factors`: the fixed keys, then each distinct surface's 2 * window + 2
+    keys in the order of first use; and the (P, 2 * window + 3) key array of
+    every position. Each surface is named once."""
+    keys = [names for group in _fixed_names(config) for names in group]
+    first = dict.fromkeys(itertools.chain.from_iterable(instances))
+    for s in first:
+        first[s] = len(keys)
+        window, affixes = _token_names(s, config)
+        keys += window
+        keys.append(affixes)
+    return keys, _factors(instances, first, config.window)
+
+
 def training_factors(
     instances: Sequence[Sequence[str]], config: FeatureConfig
 ) -> tuple[FeatureIndex, sparse.csr_matrix, sparse.csr_matrix]:
@@ -382,14 +377,7 @@ def training_factors(
     A name occurs as often as the keys holding it, and the keys in the order
     the rows first use them hold the names in the order the rows do, so the
     index is `build_index(corpus_features(instances, config), min_count)`."""
-    keys = [names for group in _fixed_names(config) for names in group]
-    first = dict.fromkeys(itertools.chain.from_iterable(instances))
-    for s in first:
-        first[s] = len(keys)
-        window, affixes = _token_names(s, config)
-        keys += window
-        keys.append(affixes)
-    h = _factors(instances, first, config.window)
+    keys, h = _key_names(instances, config)
     used, first_use, uses = np.unique(h, return_index=True, return_counts=True)
     order = np.argsort(first_use)
     counts: Counter[str] = Counter()
@@ -402,9 +390,10 @@ def training_factors(
 
 
 def corpus_features(
-    instances: Iterable[Sequence[str]],
-    config: FeatureConfig,
-) -> Iterable[list[str]]:
-    """Yield the names of every position of every surface-string sequence."""
-    for surfaces in instances:
-        yield from extract(surfaces, config)
+    instances: Iterable[Sequence[str]], config: FeatureConfig
+) -> Iterator[list[str]]:
+    """Yield the names of every position of every surface-string sequence:
+    its keys expanded in template order."""
+    keys, h = _key_names(list(instances), config)
+    for row in h.tolist():
+        yield [name for k in row for name in keys[k]]

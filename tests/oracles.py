@@ -4,8 +4,8 @@ Everything here recomputes quantities by brute force (exhaustive path
 enumeration, direct summation, a token-by-span scan, a character-by-character
 tokenizer, a close-and-open segment walk, greedy segment matching, an
 L-BFGS that allocates every vector afresh, a character-stepping template
-parser and a counting template renderer) so the tests never trust the code
-path they check. Enumeration is vectorized over
+parser, a counting template renderer and a name-level feature walk) so the
+tests never trust the code path they check. Enumeration is vectorized over
 the full path table to keep hundreds of oracle comparisons fast.
 """
 
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from refparse import crf, metrics, optim
+from refparse import crf, features, metrics, optim
 from refparse.errors import StructuralError, TemplateError
 from refparse.features import FeatureConfig, FeatureIndex
 from refparse.labels import (
@@ -459,3 +459,38 @@ def render(record, template, per_author: bool = False) -> tuple[str, tuple]:
     """(text, spans) of `synthgen.render` by the counting renderer."""
     text, spans = _render_elements(template.elements, record, template, per_author, top=True)
     return text, tuple(spans)
+
+
+def _rows(tokens: Sequence[tuple], bos: list, eos: list, buckets: list) -> Iterator[list]:
+    """Every position's row in template order: the window offsets from
+    -window to +window (`bos`/`eos` past the ends), the center token's
+    affixes, then the position bucket. `tokens` holds each position's
+    (window parts, affixes) as `features._token_names` returns them and the
+    other arguments are `features._fixed_names`."""
+    n = len(tokens)
+    width = len(bos)
+    pad = width // 2
+    padded = [bos] * pad + [parts for parts, _ in tokens] + [eos] * pad
+    for position, ((_, affixes), bucket) in enumerate(zip(tokens, features._buckets(n))):
+        row: list = []
+        for k, parts in enumerate(padded[position : position + width]):
+            row += parts[k]  # what the token k - pad away gives at that offset
+        row += affixes
+        row += buckets[bucket]
+        yield row
+
+
+def extract(surfaces: Sequence[str], config: FeatureConfig) -> list[list[str]]:
+    """Feature names for every position of one instance, walking each
+    position's window name by name."""
+    names = {s: features._token_names(s, config) for s in set(surfaces)}
+    return list(_rows([names[s] for s in surfaces], *features._fixed_names(config)))
+
+
+def corpus_features(
+    instances: Iterable[Sequence[str]], config: FeatureConfig
+) -> Iterator[list[str]]:
+    """`features.corpus_features` by the name-level walk, one instance at a
+    time."""
+    for surfaces in instances:
+        yield from extract(surfaces, config)

@@ -46,6 +46,10 @@ def test_help_exits_zero(capsys):
         ):
             at = out.index(flag)
             assert out[at + 1 : at + 4] == [kind, "[default:", default], command
+    # no writer records a corpus name, so generate takes none
+    assert run(["generate", "--help"]) == 0
+    out = capsys.readouterr().out.split()
+    assert "--per-author" in out and "--name" not in out
 
 
 def test_records_generate_split_sample_filter(tmp_path, capsys):
@@ -446,6 +450,17 @@ def test_bad_input_exits_with_documented_code(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out.gz").exists()
+
+
+def test_plan_repeating_a_size_writes_nothing(tmp_path, capsys):
+    corpus = str(DATA_DIR / "v1_parse.xml")
+    plan = {"trains": {"a": corpus}, "evals": {"a": corpus}, "sizes": [2, 2],
+            "out_dir": str(tmp_path / "out")}
+    (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    assert run(["curve", str(tmp_path / "plan.json")]) == 1
+    err = capsys.readouterr().err
+    assert "sizes must be strictly ascending, got [2, 2]" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
 
 
 def test_plan_naming_a_missing_corpus_writes_nothing(tmp_path, capsys):

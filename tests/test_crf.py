@@ -14,8 +14,6 @@ from refparse.features import (
     FeatureConfig,
     FeatureIndex,
     build_index,
-    corpus_features,
-    extract,
     training_factors,
 )
 
@@ -66,12 +64,12 @@ class TestStructure:
 class TestVectorize:
     def test_rows_hold_extracted_ids(self):
         cfg = FeatureConfig(window=1)
-        index = build_index(corpus_features([["Proceedings", "of", "2015"]], cfg))
+        index = build_index(oracles.corpus_features([["Proceedings", "of", "2015"]], cfg))
         m = crf.empty_model(["author"], index, cfg)
         surfaces = ["Proceedings", "vol", "2015", "."]
         x = crf.vectorize(surfaces, m).x
         assert x.shape == (len(surfaces), len(index))
-        for t, feats in enumerate(extract(surfaces, cfg)):
+        for t, feats in enumerate(oracles.extract(surfaces, cfg)):
             row = x.indices[x.indptr[t] : x.indptr[t + 1]]
             assert row.tolist() == index.lookup_many(feats)
         np.testing.assert_array_equal(x.data, 1.0)
@@ -103,6 +101,12 @@ def test_train_config_rejects_no_epochs(max_epochs):
 def test_train_config_rejects_non_finite(field, value):
     with pytest.raises(UsageError, match="finite"):
         crf.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["l2", "tol"])
+def test_train_config_rejects_ints_past_the_float_range(field):
+    with pytest.raises(UsageError, match=f"^{field} must be finite"):
+        crf.TrainConfig(**{field: 10**400})
 
 
 @pytest.mark.parametrize(
@@ -741,7 +745,7 @@ class TestTraining:
             return call
 
         monkeypatch.setattr(features, "_token_names", counting_token_names)
-        monkeypatch.setattr(features, "extract", forbidden("extract"))
+        monkeypatch.setattr(features, "corpus_features", forbidden("corpus_features"))
         monkeypatch.setattr(crf, "vectorize", forbidden("vectorize"))
         crf.train(corpus, FeatureConfig(), crf.TrainConfig(max_epochs=2))
         surfaces = [s for inst in corpus.instances for s in inst.surfaces()]

@@ -54,7 +54,7 @@ def test_plan_json_round_trip(tmp_path):
 
 
 def test_unsorted_sizes_rejected(tmp_path):
-    for sizes in [(20, 10), (-30,), (0, 20)]:
+    for sizes in [(20, 10), (20, 20), (10, 20, 20), (-30,), (0, 20)]:
         with pytest.raises(UsageError):
             ExperimentPlan(
                 trains={}, evals={}, sizes=sizes, keep_labels=(),
@@ -153,20 +153,20 @@ class TestSizeCurve:
 
     def test_nested_and_repeat_sizes(self, tiny_corpora, tmp_path):
         root, paths = tiny_corpora
-        plan = ExperimentPlan(
+        plan = dict(
             trains={"a": paths["train_a"]},
             evals={"a": paths["eval_a"]},
-            sizes=(20, 20, 60),
             keep_labels=(),
             seed=3,
             out_dir=str(tmp_path / "c"),
         )
-        size_curve(plan, FAST)
-        # repeated size -> identical report rows
+        # a repeated size would train the same subset twice and overwrite
+        # its fields CSV: the plan is rejected before any training
+        with pytest.raises(UsageError, match="strictly ascending"):
+            ExperimentPlan(sizes=(20, 20, 60), **plan)
+        size_curve(ExperimentPlan(sizes=(20, 60), **plan), FAST)
         lines = (tmp_path / "c" / "curve.csv").read_text().splitlines()
-        assert len(lines) == 1 + 3  # header + one row per size
-        first_20, second_20 = lines[1], lines[2]
-        assert first_20.split(",")[1:] == second_20.split(",")[1:]
+        assert [line.split(",")[0] for line in lines] == ["size", "20", "60"]
 
     def test_oversized_rejected(self, tiny_corpora, tmp_path):
         root, paths = tiny_corpora

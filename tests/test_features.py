@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 import refparse as rp
-from oracles import id_matrix
+from oracles import corpus_features, extract, id_matrix
 from refparse import crf, features
 from refparse.errors import UsageError
 from refparse.features import (
@@ -12,8 +12,6 @@ from refparse.features import (
     FeatureIds,
     builtin_gazetteers,
     build_index,
-    corpus_features,
-    extract,
     training_factors,
     word_shape,
 )
@@ -203,6 +201,7 @@ GOLDEN_FEATURES = [
 
 def test_extract_golden_names_and_order():
     assert extract(GOLDEN_SURFACES, FeatureConfig()) == GOLDEN_FEATURES
+    assert list(features.corpus_features([GOLDEN_SURFACES], FeatureConfig())) == GOLDEN_FEATURES
 
 
 def _mixed_surfaces():
@@ -237,6 +236,18 @@ def test_cached_rows_equal_looked_up_names(config):
             x.indices[x.indptr[t] : x.indptr[t + 1]].tolist() for t in range(len(surfaces))
         ] == [index.lookup_many(names) for names in extract(surfaces, config)]
         np.testing.assert_array_equal(x.data, 1.0)
+
+
+@CONFIGS
+def test_corpus_features_equal_the_name_walk(config):
+    # an empty instance, a 1-token one, surfaces that recur in and across
+    # instances, and a generator as input
+    corpus = [[], ["Smith"], ["Smith", "2001", "Smith"], [], GOLDEN_SURFACES]
+    corpus += _mixed_surfaces()
+    got = list(features.corpus_features(iter(corpus), config))
+    assert got == list(corpus_features(corpus, config))
+    assert len(got) == sum(map(len, corpus))
+    assert list(features.corpus_features([[]], config)) == []
 
 
 def _key_matrix(keys, n_keys):
