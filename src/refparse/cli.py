@@ -58,9 +58,6 @@ from .tokenizer import tokenize
 
 VERSION_TEXT = f"refparse {__version__} (model format {MODEL_FORMAT})"
 
-# lines `parse` decodes as one batch; keeps the batch's arrays to tens of MB
-_PARSE_CHUNK = 1024
-
 
 def _print_version(ctx, param, value):
     if not value or ctx.resilient_parsing:
@@ -228,11 +225,7 @@ def parse(model_path, in_path, out_path, out_format):
     model = load_model(model_path)
     lines = [line for line in map(str.strip, _read_lines(in_path)) if line]
     format_one = format_inline_xml if out_format == "inline" else format_conll
-    text = "".join(
-        format_one(inst) + "\n"
-        for start in range(0, len(lines), _PARSE_CHUNK)
-        for inst in decode_many(model, lines[start : start + _PARSE_CHUNK])
-    )
+    text = "".join(format_one(inst) + "\n" for inst in decode_many(model, lines))
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:

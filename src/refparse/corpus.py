@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DataError, StructuralError, UsageError
+from .errors import DataError, StructuralError, UsageError, shown
 from .labels import (
     _PREDECESSORS,
     OUT,
@@ -279,14 +279,14 @@ def write_corpus(corpus: Corpus, path) -> None:
 def seeded_rng(seed: int) -> np.random.Generator:
     """numpy's PCG64 generator for an integer seed >= 0."""
     if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+        raise UsageError(f"seed must be >= 0, got {shown(seed)}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
 def split(corpus: Corpus, ratio: float, seed: int) -> tuple[Corpus, Corpus]:
     """Seeded shuffle then prefix split; |train| = floor(ratio * N)."""
     if not 0.0 < ratio < 1.0:
-        raise UsageError(f"split ratio must be in (0, 1), got {ratio}")
+        raise UsageError(f"split ratio must be in (0, 1), got {shown(ratio)}")
     n = len(corpus)
     if n == 0:
         raise UsageError("cannot split an empty corpus")
@@ -323,7 +323,7 @@ def filter_fields(corpus: Corpus, keep) -> Corpus:
 def sample(corpus: Corpus, n: int, seed: int) -> Corpus:
     """Seeded uniform sample without replacement, order-stable given seed."""
     if not 1 <= n <= len(corpus):
-        raise UsageError(f"sample size {n} not in [1, {len(corpus)}]")
+        raise UsageError(f"sample size {shown(n)} not in [1, {len(corpus)}]")
     idx = seeded_rng(seed).choice(len(corpus), size=n, replace=False)
     return replace(
         corpus,

@@ -37,8 +37,10 @@ Feature rows are factored by token surface in one key layout, which
 training (features.training_factors) and inference (FeatureIds.keys)
 share, so the emission scores and their gradient run over a few keys per
 position instead of every feature id. One per-model cache holds each
-surface's key ids. Decoding scores the keys of a call's distinct surfaces
-with one sparse product, and a position's emission scores are its
+surface's key ids. Decoding (`_decode`: `parse`, `eval` and every
+experiment) packs its input in batches of _DECODE_CHUNK sequences and
+scores the keys of a batch's distinct surfaces with one sparse product,
+then runs one Viterbi pass per batch. A position's emission scores are its
 2 * window + 3 key scores added in template order. They differ from the
 sum over the position's feature ids only by rounding, and an instance
 gets the same scores, bit for bit, alone and in any batch. `vectorize`
@@ -71,7 +73,7 @@ import numpy as np
 from scipy import sparse
 
 from . import optim
-from .errors import DataError, NumericError, StructuralError, UsageError, check_number
+from .errors import DataError, NumericError, StructuralError, UsageError, check_number, shown
 from .features import FeatureConfig, FeatureIds, FeatureIndex, ones_matrix, training_factors
 from .labels import (
     OUT,
@@ -107,6 +109,9 @@ _PRUNE_ROWS = 32
 # that a decided row's gap must clear beyond the transition spread
 _GAP_ULPS = 8.0
 
+# sequences `_decode` packs into one batch; keeps a batch's arrays to tens of MB
+_DECODE_CHUNK = 1024
+
 
 def tags_for_labels(labels: Sequence[str]) -> tuple[str, ...]:
     """["O", "B-f1", "I-f1", "B-f2", ...] in canonical field order."""
@@ -134,11 +139,11 @@ class TrainConfig:
         check_number("tol", self.tol)
         # chained comparisons are exact for ints past the float range too
         if not 0 <= self.l2 <= sys.float_info.max:
-            raise UsageError(f"l2 must be finite and >= 0, got {self.l2}")
+            raise UsageError(f"l2 must be finite and >= 0, got {shown(self.l2)}")
         if not 0 < self.tol <= sys.float_info.max:
-            raise UsageError(f"tol must be finite and > 0, got {self.tol}")
+            raise UsageError(f"tol must be finite and > 0, got {shown(self.tol)}")
         if self.max_epochs < 1:
-            raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise UsageError(f"max_epochs must be >= 1, got {shown(self.max_epochs)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -538,13 +543,15 @@ def _emissions(
 
 
 def _decode(model: CrfModel, surfaces: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
-    """The tags of each token-surface sequence, decoded as one packed batch:
-    one emission pass over the batch's keys and one Viterbi pass. Empty
-    sequences get ()."""
+    """The tags of each token-surface sequence, decoded in packed batches of
+    `_DECODE_CHUNK` sequences: one emission pass over a batch's keys and one
+    Viterbi pass per batch. Empty sequences get ()."""
     tags: list[tuple[str, ...]] = [()] * len(surfaces)
     lengths = np.array([len(s) for s in surfaces], dtype=np.int64)
-    kept = np.flatnonzero(lengths).tolist()
-    if kept:
+    for start in range(0, len(surfaces), _DECODE_CHUNK):
+        kept = (start + np.flatnonzero(lengths[start : start + _DECODE_CHUNK])).tolist()
+        if not kept:
+            continue
         ids, sizes, keys = model.feature_ids.keys([surfaces[i] for i in kept])
         pack = _Packing(lengths[kept])
         best = np.empty(len(pack.source), dtype=np.intp)
@@ -552,8 +559,8 @@ def _decode(model: CrfModel, surfaces: Sequence[Sequence[str]]) -> list[tuple[st
         names = [model.tags[i] for i in best.tolist()]
         end = 0
         for i in kept:
-            start, end = end, end + len(surfaces[i])
-            tags[i] = tuple(names[start:end])
+            begin, end = end, end + len(surfaces[i])
+            tags[i] = tuple(names[begin:end])
     return tags
 
 
@@ -563,7 +570,7 @@ def predict_tags(model: CrfModel, surfaces: Sequence[str]) -> tuple[str, ...]:
 
 
 def decode_many(model: CrfModel, raws: Sequence[str]) -> list[LabeledReference]:
-    """Tokenize raw texts and decode them as one packed batch."""
+    """Tokenize raw texts and decode them in packed batches (`_decode`)."""
     tokens = [tokenize(raw) for raw in raws]
     tags = _decode(model, [[t.surface for t in toks] for toks in tokens])
     return [LabeledReference(raw=r, tokens=k, tags=g) for r, k, g in zip(raws, tokens, tags)]

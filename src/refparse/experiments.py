@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .corpus import Corpus, filter_fields, filter_tags_sequence, read_corpus, seeded_rng
-from .crf import CrfModel, TrainConfig, predict_tags, train
-from .errors import DataError, RefparseError, UsageError
+from .crf import CrfModel, TrainConfig, _decode, train
+from .errors import DataError, RefparseError, UsageError, shown
 from .features import FeatureConfig
 from .labels import sort_fields
 from .metrics import EvalReport, evaluate, write_csv, write_report_csv
@@ -55,11 +55,13 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
-            raise UsageError(f"plan sizes must be strictly ascending, got {list(self.sizes)}")
+            raise UsageError(
+                f"plan sizes must be strictly ascending, got {shown(list(self.sizes))}"
+            )
         if any(size < 1 for size in self.sizes):
-            raise UsageError(f"plan sizes must be >= 1, got {list(self.sizes)}")
+            raise UsageError(f"plan sizes must be >= 1, got {shown(list(self.sizes))}")
         if self.seed < 0:
-            raise UsageError(f"plan seed must be >= 0, got {self.seed}")
+            raise UsageError(f"plan seed must be >= 0, got {shown(self.seed)}")
         for key in ("trains", "evals"):  # the names become parts of file names
             for name in getattr(self, key):
                 if any(c in name for c in (os.sep, os.altsep or os.sep, "\0")):
@@ -154,6 +156,11 @@ def _write_manifest(
         fh.write("\n")
 
 
+def predict_tags(model: CrfModel, corpus: Corpus) -> list[tuple[str, ...]]:
+    """The decoded tags of every instance of `corpus`, in packed batches."""
+    return _decode(model, [inst.surfaces() for inst in corpus.instances])
+
+
 def _evaluate_model(
     model: CrfModel, corpus: Corpus, keep: Sequence[str] | None = None
 ) -> EvalReport:
@@ -161,7 +168,7 @@ def _evaluate_model(
 
     With `keep`, gold and predicted tags outside those fields become O first.
     """
-    pred = [predict_tags(model, inst.surfaces()) for inst in corpus.instances]
+    pred = predict_tags(model, corpus)
     if keep is not None:
         corpus = filter_fields(corpus, keep)
         pred = [filter_tags_sequence(tags, keep) for tags in pred]
@@ -265,7 +272,7 @@ def nested_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> list[Corp
     if not sizes:
         raise UsageError("need at least one subset size")
     if max(sizes) > len(corpus):
-        raise UsageError(f"largest size {max(sizes)} exceeds corpus size {len(corpus)}")
+        raise UsageError(f"largest size {shown(max(sizes))} exceeds corpus size {len(corpus)}")
     order = seeded_rng(seed).permutation(len(corpus))
     return [
         Corpus(

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import text_lines
-from .errors import DataError, StructuralError, UsageError, check_number
+from .errors import DataError, StructuralError, UsageError, check_number, shown
 
 _GAZETTEER_FILES = ("months", "ordinals", "containers")
 
@@ -84,9 +84,9 @@ class FeatureConfig:
         check_number("window", self.window, integer=True)
         check_number("min_count", self.min_count, integer=True)
         if not 0 <= self.window <= MAX_WINDOW:
-            raise UsageError(f"window must be in 0..{MAX_WINDOW}, got {self.window}")
+            raise UsageError(f"window must be in 0..{MAX_WINDOW}, got {shown(self.window)}")
         if self.min_count < 1:
-            raise UsageError(f"min_count must be >= 1, got {self.min_count}")
+            raise UsageError(f"min_count must be >= 1, got {shown(self.min_count)}")
         gaz = builtin_gazetteers() if self.gazetteers is None else self.gazetteers
         gaz = MappingProxyType({k: frozenset(v) for k, v in sorted(gaz.items())})
         object.__setattr__(self, "gazetteers", gaz)
@@ -342,7 +342,7 @@ def build_index(feature_lists: Iterable[Sequence[str]], min_count: int = 1) -> F
     first-occurrence order (equal corpora give byte-identical indices).
     Training builds the same index from its keys (`training_factors`)."""
     if min_count < 1:
-        raise UsageError(f"min_count must be >= 1, got {min_count}")
+        raise UsageError(f"min_count must be >= 1, got {shown(min_count)}")
     counts = Counter(itertools.chain.from_iterable(feature_lists))
     if not counts:
         raise UsageError("cannot build a feature index from a corpus without features")

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, observed_labels, seeded_rng, text_lines
-from .errors import DataError, TemplateError, UsageError
+from .errors import DataError, TemplateError, UsageError, shown
 from .labels import LabeledReference
 from .tokenizer import tags_from_spans, tokenize
 
@@ -61,7 +61,7 @@ class BibRecord:
         if not self.title:
             raise UsageError("record title must be non-empty")
         if not 1500 <= self.year <= 2100:
-            raise UsageError(f"record year {self.year} outside [1500, 2100]")
+            raise UsageError(f"record year {shown(self.year)} outside [1500, 2100]")
         if self.container_kind not in ("journal", "proceedings"):
             raise UsageError(f"unknown container kind {self.container_kind!r}")
         if self.pages is not None:
@@ -471,7 +471,7 @@ def generate_corpus(
     product, so asking for more instances than the product holds is an error.
     """
     if n < 1:
-        raise UsageError(f"corpus size must be >= 1, got {n}")
+        raise UsageError(f"corpus size must be >= 1, got {shown(n)}")
     if not records or not templates:
         raise UsageError("need at least one record and one template")
     product = len(records) * len(templates)
@@ -599,7 +599,7 @@ def random_records(n: int, seed: int) -> list[BibRecord]:
     A stand-in for a real structured catalog; used by tests and CLI demos.
     """
     if n < 1:
-        raise UsageError(f"record count must be >= 1, got {n}")
+        raise UsageError(f"record count must be >= 1, got {shown(n)}")
     rng = seeded_rng(seed)
 
     def pick(pool: Sequence[str]) -> str:

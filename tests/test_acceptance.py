@@ -1,13 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The experiment criteria (5-9) run the real pipeline at desk scale through
-the experiments module with frozen seeds; the numeric criteria (1-2) drive
-the CRF against brute-force oracles; 3-4 check the metric fixtures and the
-synthetic round trip. Run with `pytest tests/test_acceptance.py -v -s`.
+The experiment criteria (5-8) run the real pipeline at desk scale through
+the experiments module with frozen seeds, and 9 reruns it through the CLI in
+a fresh process; the numeric criteria (1-2) drive the CRF against
+brute-force oracles; 3-4 check the metric fixtures and the synthetic round
+trip. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import contextlib
 import filecmp
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +42,11 @@ import oracles
 from conftest import DATA_DIR
 
 TRAIN_CONFIG = TrainConfig(l2=1.0, max_epochs=200, tol=1e-4)
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+# the CLI rerun's hash seed: fixed, where the pytest process's is random
+RERUN_HASH_SEED = "12345"
 
 ABLATED_FIELDS = ("location", "note", "institution")
 
@@ -119,18 +129,65 @@ def _ablation_plan(ws, out_name: str) -> ExperimentPlan:
     )
 
 
+# (CLI command, first run's out_dir, rerun's out_dir, plan) of each experiment
+RERUNS = (
+    ("matrix", "matrix1", "matrix2", _matrix_plan),
+    ("curve", "curve1", "curve2", _curve_plan),
+    ("ablation", "ablation1", "ablation2", _ablation_plan),
+)
+
+# runs each argv list given as JSON through the CLI, stopping at the first failure
+_RERUN_SCRIPT = """\
+import json, sys
+from refparse.cli import run
+for argv in json.loads(sys.argv[1]):
+    code = run(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
 @pytest.fixture(scope="session")
-def matrix_result(workspace):
+def cli_rerun(workspace):
+    """One fresh process that reruns the three experiments through the CLI,
+    from plan files, while this process makes the first runs. Yields the
+    process and the file holding its output; the process ends with the
+    session."""
+    root = workspace["root"]
+    flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in TRAIN_CONFIG.to_dict().items()]
+    argvs = []
+    for command, _, second, plan_fn in RERUNS:
+        plan_path = root / f"{second}.json"
+        plan_path.write_text(json.dumps(plan_fn(workspace, second).to_dict()), encoding="utf-8")
+        argvs.append([command, str(plan_path), *flags])
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": RERUN_HASH_SEED}
+    log_path = root / "rerun.log"
+    with open(log_path, "wb") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _RERUN_SCRIPT, json.dumps(argvs)],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+        )
+        try:
+            yield proc, log_path
+        finally:
+            proc.kill()
+            proc.wait()
+
+
+# each first run requests `cli_rerun`, so that the rerun starts before it
+@pytest.fixture(scope="session")
+def matrix_result(workspace, cli_rerun):
     return cross_matrix(_matrix_plan(workspace, "matrix1"), TRAIN_CONFIG)
 
 
 @pytest.fixture(scope="session")
-def curve_result(workspace):
+def curve_result(workspace, cli_rerun):
     return size_curve(_curve_plan(workspace, "curve1"), TRAIN_CONFIG)
 
 
 @pytest.fixture(scope="session")
-def ablation_result(workspace):
+def ablation_result(workspace, cli_rerun):
     return field_ablation(_ablation_plan(workspace, "ablation1"), TRAIN_CONFIG)
 
 
@@ -390,15 +447,14 @@ def _csv_files(out_dir: Path) -> list[str]:
     return sorted(p.name for p in out_dir.glob("*.csv"))
 
 
-def test_criterion_9_determinism(workspace, matrix_result, curve_result, ablation_result):
-    with criterion(9, "same seeds give byte-identical CSVs"):
-        reruns = (
-            ("matrix1", "matrix2", _matrix_plan, cross_matrix),
-            ("curve1", "curve2", _curve_plan, size_curve),
-            ("ablation1", "ablation2", _ablation_plan, field_ablation),
-        )
-        for first, second, plan_fn, run_fn in reruns:
-            run_fn(plan_fn(workspace, second), TRAIN_CONFIG)
+def test_criterion_9_determinism(
+    workspace, cli_rerun, matrix_result, curve_result, ablation_result
+):
+    with criterion(9, "a CLI rerun in a fresh process gives byte-identical CSVs and manifests"):
+        proc, log_path = cli_rerun
+        code = proc.wait(timeout=1800)
+        assert code == 0, f"CLI rerun exited {code}:\n{log_path.read_text(errors='replace')}"
+        for _, first, second, _ in RERUNS:
             dir1 = workspace["root"] / first
             dir2 = workspace["root"] / second
             names1, names2 = _csv_files(dir1), _csv_files(dir2)
@@ -407,3 +463,11 @@ def test_criterion_9_determinism(workspace, matrix_result, curve_result, ablatio
                 assert filecmp.cmp(dir1 / name, dir2 / name, shallow=False), (
                     f"{name} differs between {first} and {second}"
                 )
+            # the manifests differ only in the out_dir their plans name
+            manifest1 = (dir1 / "manifest.json").read_text(encoding="utf-8")
+            manifest2 = (dir2 / "manifest.json").read_text(encoding="utf-8")
+            out_dir1, out_dir2 = json.dumps(str(dir1)), json.dumps(str(dir2))
+            assert manifest1.count(out_dir1) == manifest2.count(out_dir2) == 1
+            assert manifest2.replace(out_dir2, out_dir1) == manifest1, (
+                f"manifest.json differs between {first} and {second}"
+            )

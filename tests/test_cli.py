@@ -8,7 +8,7 @@ import math
 import pytest
 
 import refparse as rp
-from refparse import cli, labels
+from refparse import crf, labels
 from refparse.cli import run
 from refparse.corpus import format_conll, format_inline_xml
 from refparse.crf import empty_model, save_model
@@ -510,7 +510,7 @@ def test_parse_across_chunks_matches_line_by_line_decode(
     refs = [inst.raw for inst in eval_c.instances[:10]]
     text = "\n".join(["", refs[0], "  ", *refs[1:4], "", f"  {refs[4]} ", *refs[5:], ""])
     (tmp_path / "refs.txt").write_text(text + "\n", encoding="utf-8")
-    monkeypatch.setattr(cli, "_PARSE_CHUNK", 3)
+    monkeypatch.setattr(crf, "_DECODE_CHUNK", 3)
     out = tmp_path / "parsed.txt"
     assert run(["parse", "--model", str(model_path), "--in", str(tmp_path / "refs.txt"),
                 "--out", str(out), "--format", out_format]) == 0

@@ -375,3 +375,17 @@ def test_every_written_reference_reads_back(tmp_path_factory, suffix, raw, data)
     assert (back.surfaces(), back.tags) == (inst.surfaces(), inst.tags)
     if suffix == "xml":
         assert back.raw.split() == raw.split()
+
+
+@pytest.mark.parametrize(
+    "call,shows",
+    [(lambda c: rp.split(c, 10**5000, seed=0), "split ratio must be in \\(0, 1\\), got an int"),
+     (lambda c: rp.split(c, 0.5, seed=-10**5000), "seed must be >= 0, got a negative int"),
+     (lambda c: rp.sample(c, 10**5000, seed=0), "sample size an int")],
+    ids=["split_ratio", "split_seed", "sample_size"],
+)
+def test_an_int_too_long_for_text_is_a_usage_error(call, shows):
+    inst = rp.LabeledReference(raw="Smith", tokens=(rp.Token("Smith", 0, 5),), tags=("B-author",))
+    corpus = Corpus(name="c", labels=("author",), instances=(inst, inst))
+    with pytest.raises(UsageError, match=f"^{shows} of 5001 digits"):
+        call(corpus)

@@ -110,6 +110,25 @@ def test_train_config_rejects_ints_past_the_float_range(field):
 
 
 @pytest.mark.parametrize(
+    "field,value,shows",
+    [("l2", 10**5000, "an int of 5001 digits"), ("tol", 10**5000, "an int of 5001 digits"),
+     ("max_epochs", -10**5000, "a negative int of 5001 digits")],
+    ids=["l2", "tol", "max_epochs"],
+)
+def test_train_config_names_the_field_of_an_int_too_long_for_text(field, value, shows):
+    with pytest.raises(UsageError, match=f"^{field} must be .*, got {shows}$"):
+        crf.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("digits", [40, 41, 300, 4300])
+def test_config_messages_count_the_digits_of_a_long_int(digits):
+    for value in (10 ** (digits - 1), 10**digits - 1):
+        shows = str(-value) if digits <= 40 else f"a negative int of {digits} digits"
+        with pytest.raises(UsageError, match=f"^l2 must be finite and >= 0, got {shows}$"):
+            crf.TrainConfig(l2=-value)
+
+
+@pytest.mark.parametrize(
     "field,value",
     [("max_epochs", 2.5), ("max_epochs", True), ("max_epochs", "9"), ("l2", True),
      ("l2", "1"), ("tol", "x"), ("tol", None)],

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 import refparse as rp
+from refparse import crf, experiments
+from refparse.corpus import filter_fields, filter_tags_sequence, format_inline_xml
 from refparse.crf import TrainConfig, predict_tags, train
 from refparse.errors import RefparseError, UsageError
 from refparse.experiments import (
@@ -60,6 +63,27 @@ def test_unsorted_sizes_rejected(tmp_path):
                 trains={}, evals={}, sizes=sizes, keep_labels=(),
                 seed=0, out_dir=str(tmp_path),
             )
+
+
+@pytest.mark.parametrize(
+    "sizes,seed,shows",
+    [((), -10**5000, r"plan seed must be >= 0, got a negative int of 5001 digits"),
+     ((-10**5000,), 0, r"plan sizes must be >= 1, got \[a negative int of 5001 digits\]"),
+     ((10**5000, 1), 0,
+      r"plan sizes must be strictly ascending, got \[an int of 5001 digits, 1\]")],
+    ids=["seed", "sizes_below_one", "sizes_unsorted"],
+)
+def test_plan_names_the_key_of_an_int_too_long_for_text(sizes, seed, shows, tmp_path):
+    with pytest.raises(UsageError, match=f"^{shows}$"):
+        ExperimentPlan(
+            trains={}, evals={}, sizes=sizes, keep_labels=(), seed=seed, out_dir=str(tmp_path)
+        )
+
+
+def test_subset_size_too_long_for_text_is_a_usage_error(fixture_records):
+    corpus = rp.generate_corpus(fixture_records[:5], rp.style_family("A"), n=5, seed=0)
+    with pytest.raises(UsageError, match="^largest size an int of 5001 digits exceeds"):
+        nested_subsets(corpus, [10**5000], seed=0)
 
 
 class TestCrossMatrix:
@@ -254,3 +278,75 @@ def test_unreadable_eval_recorded_in_manifest(run, tiny_corpora, tmp_path):
     assert manifest["partial"] is True
     failures = manifest["failures"]
     assert failures and all(f["cell"].endswith("xbad") for f in failures)
+
+
+# ---------------------------------------------------------------------------
+# evaluation decodes each corpus in packed batches
+# ---------------------------------------------------------------------------
+
+BLANK = "<ref></ref>"
+
+
+@pytest.fixture(scope="module")
+def edge_corpus(small_model_and_eval, tmp_path_factory):
+    """Held-out references with blank ones (three in a row at 3-5, one
+    last), 1-token ones and ones that repeat a surface mixed in."""
+    _, eval_c = small_model_and_eval
+    refs = [format_inline_xml(inst) for inst in eval_c.instances[:30]]
+    lines = [
+        refs[0], "<author>Smith</author>", refs[1], BLANK, BLANK, BLANK, "2019", refs[2],
+        "<title>Smith Smith Smith</title> <author>Smith</author> (<date>2019</date>).",
+        *refs[3:], "Smith Smith Smith Smith.", "<date>2019</date>", BLANK,
+    ]
+    path = tmp_path_factory.mktemp("edge") / "edge.xml"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = rp.read_inline_xml(path)
+    assert [len(inst.tokens) for inst in corpus.instances][3:7] == [0, 0, 0, 1]
+    return corpus
+
+
+def _per_instance_tags(model, corpus):
+    return [crf.predict_tags(model, inst.surfaces()) for inst in corpus.instances]
+
+
+class TestBatchedEvaluation:
+    def test_tags_equal_the_per_instance_decode(self, small_model_and_eval, edge_corpus):
+        model, _ = small_model_and_eval
+        want = _per_instance_tags(model, edge_corpus)
+        assert experiments.predict_tags(model, edge_corpus) == want
+
+    @pytest.mark.parametrize("keep", [None, ("author", "title", "date")])
+    def test_report_equals_the_per_instance_report(self, keep, small_model_and_eval, edge_corpus):
+        model, _ = small_model_and_eval
+        gold, pred = edge_corpus, _per_instance_tags(model, edge_corpus)
+        if keep is not None:
+            gold = filter_fields(gold, keep)
+            pred = [filter_tags_sequence(tags, keep) for tags in pred]
+        assert experiments._evaluate_model(model, edge_corpus, keep) == rp.evaluate(gold, pred)
+
+    def test_chunks_of_three_give_the_same_tags(
+        self, small_model_and_eval, edge_corpus, monkeypatch
+    ):
+        model, _ = small_model_and_eval
+        want = _per_instance_tags(model, edge_corpus)
+        monkeypatch.setattr(crf, "_DECODE_CHUNK", 3)
+        assert experiments.predict_tags(model, edge_corpus) == want
+
+    def test_one_viterbi_pass_per_chunk(self, small_model_and_eval, fixture_records, monkeypatch):
+        model, _ = small_model_and_eval
+        corpus = rp.generate_corpus(
+            fixture_records, rp.style_family("B"), n=300, seed=12, name="c300"
+        )
+        viterbi, batches = crf._viterbi, []
+
+        def counted(e, pack, m):
+            batches.append(len(pack.last))
+            return viterbi(e, pack, m)
+
+        monkeypatch.setattr(crf, "_viterbi", counted)
+        for chunk in (crf._DECODE_CHUNK, 128):
+            monkeypatch.setattr(crf, "_DECODE_CHUNK", chunk)
+            batches.clear()
+            experiments._evaluate_model(model, corpus)
+            assert len(batches) == math.ceil(len(corpus) / chunk)
+            assert sum(batches) == len(corpus)

@@ -144,6 +144,19 @@ def test_config_rejects_numbers_of_another_type(field, value):
         FeatureConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value,shows",
+    [("window", 10**5000, "an int of 5001 digits"),
+     ("window", -10**5000, "a negative int of 5001 digits"),
+     ("min_count", -10**5000, "a negative int of 5001 digits"),
+     ("window", [10**5000], r"\[an int of 5001 digits\]")],
+    ids=["window_long", "window_long_negative", "min_count_long_negative", "window_list"],
+)
+def test_config_names_the_field_of_an_int_too_long_for_text(field, value, shows):
+    with pytest.raises(UsageError, match=f"^{field} must be .*, got {shows}$"):
+        FeatureConfig(**{field: value})
+
+
 @pytest.mark.parametrize("separator", ["\x85", "\x0c", "\u2028"])
 def test_word_list_lines_end_only_at_line_breaks(tmp_path, separator):
     path = tmp_path / "places.txt"

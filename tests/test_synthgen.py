@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -381,3 +383,16 @@ def test_canonical_span_text_matches_segment_text(fixture_records):
                 for f, a, b in out.spans
             ]
             assert [(g.field, g.text) for g in segs] == span_texts
+
+
+@pytest.mark.parametrize(
+    "call,shows",
+    [(lambda r: rp.random_records(-10**5000, seed=0), "record count must be >= 1, got a negative"),
+     (lambda r: rp.generate_corpus(r, rp.style_family("A"), n=-10**5000, seed=0),
+      "corpus size must be >= 1, got a negative"),
+     (lambda r: dataclasses.replace(r[0], year=10**5000), "record year an")],
+    ids=["record_count", "corpus_size", "record_year"],
+)
+def test_an_int_too_long_for_text_is_a_usage_error(call, shows, fixture_records):
+    with pytest.raises(UsageError, match=f"^{shows} int of 5001 digits"):
+        call(fixture_records)
