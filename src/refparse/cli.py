@@ -8,6 +8,7 @@ where the flags say.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import sys
 from dataclasses import fields
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, crf
 from .corpus import (
     filter_fields,
     format_conll,
@@ -225,11 +226,16 @@ def parse(model_path, in_path, out_path, out_format):
     model = load_model(model_path)
     lines = [line for line in map(str.strip, _read_lines(in_path)) if line]
     format_one = format_inline_xml if out_format == "inline" else format_conll
-    text = "".join(format_one(inst) + "\n" for inst in decode_many(model, lines))
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        click.echo(text, nl=False)
+    # one decode chunk at a time, so that memory holds one chunk's references
+    chunk = crf._DECODE_CHUNK
+    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext() as out:
+        for start in range(0, len(lines), chunk):
+            insts = decode_many(model, lines[start : start + chunk])
+            text = "".join(format_one(inst) + "\n" for inst in insts)
+            if out:
+                out.write(text)
+            else:
+                click.echo(text, nl=False)
 
 
 @cli.command("eval")

@@ -1,28 +1,23 @@
-"""Linear-chain CRF: scoring, exact log-space inference, and batch training.
+"""Linear-chain CRF: scoring, exact inference, and batch training.
 
 The tag set is O plus B-f/I-f for every field in the model's label subset,
 with ids ordered O first, then B/I per canonical field order. Transitions
 into I-f from anything other than B-f/I-f carry -inf and are never treated
 as parameters, so decoded output is IOB2-valid by construction.
 
-All recursions work in log space. Inside one forward/backward step the
-log-sum-exp is computed as max-shift + exp + matmul against exp(transitions),
-which keeps the per-step work in BLAS. Against brute-force enumeration this
-was exact on every random model tried with weights in +-200 (pinned by
-test_large_weights_match_enumeration) and wrong on 7 of 100 in +-400.
-
-The posteriors and expected transition counts come from the tables the
-recursion already computed, with no (P, L) exponential of their own: for
-a row r after an instance's first position, forward-backward keeps
-left = exp(alpha[r-1] - m), fwd = left @ exp(transitions) and
-right = exp(beta[r] + e[r] - m'), where the shifts m and m' are row maxima,
-so left and right are at most 1. The pairwise marginal is
-left[i] exp(transitions[i, j]) right[j] c with c = exp(m + m' - logZ)
-(Sutton & McCallum 2012, section 4.1). The posterior of (r, j) is its sum
-over i, fwd[j] right[j] c. c is the one factor that can overflow: on the
-rows where it would pass exp(_EXP_CAP), which only weights far beyond
-trained sizes reach, the posteriors are taken in logs and each right[j] c
-is capped at exp(_EXP_CAP), as the pair terms always were.
+Forward-backward (`_forward_backward`) takes one of two paths per batch.
+A range check reads the batch's least and largest emission score and the
+spreads of the free transition, begin and end weights. Where it passes, the
+recursion runs in probability space with Rabiner's per-position scales
+(Rabiner 1989, section V.A; Sutton & McCallum 2012, section 4.1): one exp
+over the emission scores, then per step a product with the exponentiated
+transitions, a multiply, a row sum and a multiply by its reciprocal; the
+backward pass reuses the forward scales. `_forward_backward`'s docstring
+proves that under the check no nonzero term of either pass leaves the normal
+float range, so every result is exact to rounding. Every other batch takes
+a log-space recursion with a full (row, from, to) logsumexp block per step,
+which is exact at any finite weight and slow. Trained models, and every
+objective evaluation of a training tried, take the first path.
 
 Training evaluates its objective in memory it already holds. Each packing
 keeps a workspace (`_Packing.buffer`) that it allocates on first use and
@@ -64,6 +59,7 @@ import gzip
 import io
 import json
 import logging
+import math
 import sys
 import zlib
 from dataclasses import asdict, dataclass, replace
@@ -97,9 +93,13 @@ _TOKENIZER_CONFIG = {"split_digit_letter": True, "split_punctuation": True}
 
 NEG_INF = float("-inf")
 
-# exponent cap of the factor right[j] exp(m + m' - logZ) of the pairwise
-# marginals; the module docstring gives the weight range where they are exact
-_EXP_CAP = 600.0
+# the largest `_reach` of a batch that `_forward_backward` runs in probability
+# space; its docstring proves every term then stays in the normal float range
+_REACH = 700.0
+
+# rows per block of a sum over rows by matrix product: blocks of at most
+# this many rows came out the same at every BLAS thread count tried
+_SUM_ROWS = 1024
 
 # Viterbi steps of at least this many rows take the pruned step; narrower
 # ones, such as every step of a single instance, the full (to, from) block
@@ -348,6 +348,22 @@ class _Packing:
         return buf
 
 
+def _spread(w: np.ndarray) -> float:
+    """max - min of the finite entries of `w`, in Python floats, which
+    overflow to inf without a warning."""
+    w = w[np.isfinite(w)]
+    return float(w.max()) - float(w.min())
+
+
+def _reach(e: np.ndarray, model: CrfModel) -> float:
+    """R = m + 6s + 4d + 3 ln L of `_forward_backward`'s proof, for the
+    emission scores `e` of a batch. NaN scores give NaN, which no check
+    passes."""
+    lo, hi = float(e.min()), float(e.max())
+    s = max(_spread(model.transition), _spread(model.begin), _spread(model.end))
+    return max(hi, -lo, 0.0) + 6.0 * s + 4.0 * (hi - lo) + 3.0 * math.log(e.shape[1])
+
+
 def _forward_backward(
     e: np.ndarray, pack: _Packing, model: CrfModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,72 +374,143 @@ def _forward_backward(
     transition counts summed over the batch, and logz (N,) per instance,
     longest first. The posteriors are the packing's workspace array "mu",
     which the next call on the same packing overwrites.
+
+    A batch whose `_reach` R is at most `_REACH` takes `_probability_space`,
+    any other `_log_space`. With lo and hi the least and largest score in
+    `e`, m = max(hi, -lo, 0), d = hi - lo and s the largest spread (max -
+    min) of the free transition, begin and end weights,
+    R = m + 6s + 4d + 3 ln L.
+
+    Claim: if R <= 700, every nonzero number `_probability_space` computes
+    lies in [exp(-R - ln 2), exp(R + ln 1024)], inside the normal range
+    [exp(-708.39), exp(709.78)]. Its sums and products are of nonnegative
+    numbers, so none cancels, and with nothing lost to underflow or overflow
+    each result is within a few ulps per step of its exact value; logz adds
+    the logs of the scales to the shifts taken out of the weights.
+
+    Proof, for one instance of n positions (a batch's rows of different
+    instances never mix before the final sums). X = exp(trans - max free
+    trans) lies in [e^-s, 1] on free entries and is 0 elsewhere; so do the
+    begin and end factors exp(w - max w); E = exp(e) lies in [e^lo, e^hi].
+    Write a_t for the scaled alphas, which sum to 1: a_0 is the begin
+    factor times E_0, and a_t is (a_{t-1} X) * E_t, each divided by its sum
+    c_t. (1) (a X)_j <= sum(a) = 1, so c_t <= L e^hi. Every tag may precede
+    O and each B tag, and both may begin, so for such a tag j
+    (a X)_j >= e^-s, c_t >= e^(lo - s) and a_t(j) >= e^(-s - d) / L =: A1.
+    An I tag at t >= 1 follows its B tag: a_t(I) >= A1 e^-s e^lo / c_t >=
+    A := e^(-2s - 2d) / L^2. So the nonzero a lie in [A, 1], the terms of
+    a X in [A e^-s, 1], the unscaled entries in [A e^(lo - s), e^hi] and
+    1 / c in [e^-hi / L, e^(s - lo)]. (2) F = a_{n-1} . end factor lies in
+    [e^-s, 1]. (3) Let b_{n-1} = end factor and b_{t-1} = X (E_t b_t) / c_t;
+    then a_t . b_t = F at every t. Hence b_t(j) <= F / a_t(j) <= 1 / A where
+    a_t(j) > 0. The X rows of B-f and I-f have the same support, so
+    b_t(I-f) <= e^s b_t(B-f) <= e^s / A1 <= 1 / A, also where a_0(I-f) = 0.
+    Every X row is >= e^-s on the O and B columns, and
+    E(I-f) b(I-f) <= e^(d + s) E(B-f) b(B-f), so every b_t(j) is at least
+    e^-s / (1 + e^(d + s)) times the largest b_t, which is >= F: b >= B :=
+    e^(-3s - d) / 2 (at t = n - 1, b >= e^-s directly). (4) The code carries b / F in [B, e^s / A], its
+    product with E in [e^lo B, e^(hi + s) / A], the posteriors a b / F in
+    [A B, 1], right = E b / (F c) in [e^-d B / L, e^(d + 2s) / A], the
+    terms of right X^T in [e^(-s - d) B / L, e^(d + 2s) / A] with sums up to
+    L times that, and the pair terms a(i) right(j) in
+    [A e^-d B / L, e^(d + 2s) / A], summed over at most `_SUM_ROWS` = 1024
+    rows before the product with X, which leaves them at least e^-s times
+    the least term. (5) With ln A = -2s - 2d - 2 ln L and
+    ln B = -3s - d - ln 2, the log of every bound lies in
+    [-R - ln 2, R + ln 1024].
     """
+    if _reach(e, model) <= _REACH:
+        return _probability_space(e, pack, model)
+    return _log_space(e, pack, model)
+
+
+def _probability_space(
+    e: np.ndarray, pack: _Packing, model: CrfModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_forward_backward` by scaled recursions in probability space; exact
+    only where its range check passes."""
     widths, starts = pack.widths.tolist(), pack.starts.tolist()
-    w0 = widths[0]
-    exp_trans = np.exp(model.transition)
+    w0, n_tags = widths[0], e.shape[1]
+    trans_max = model.transition[np.isfinite(model.transition)].max()
+    x = np.exp(model.transition - trans_max)  # 0 where forbidden
+    begin_max, end_max = model.begin.max(), model.end.max()
+    end_x = np.exp(model.end - end_max)
 
-    # for each row r of steps 1, 2, ... (at r - w0): left = exp(alpha[prev r]
-    # - m), fwd = left @ exp(trans), right = exp(beta[r] + e[r] - m') and
-    # shift = m + m'; fwd is written where r's posteriors go. Every element
-    # of the four is written below before it is read
+    # forward: mu holds the scaled alphas, each row summing to 1, and c
+    # each row's scale
+    big_e = np.exp(e, out=pack.buffer("exp_e", e.shape))
     mu = pack.buffer("mu", e.shape)
-    fwd = mu[w0:]
-    left = pack.buffer("left", fwd.shape)
-    right = pack.buffer("right", fwd.shape)
-    shift = pack.buffer("shift", (len(fwd), 1))
+    c = pack.buffer("c", (len(e),))
+    inv_c = pack.buffer("inv_c", (len(e),))
+    rows = np.multiply(big_e[:w0], np.exp(model.begin - begin_max), out=mu[:w0])
+    for t in range(len(widths)):
+        w, lo = widths[t], starts[t]
+        if t:
+            prev = starts[t - 1]
+            rows = np.matmul(mu[prev : prev + w], x, out=mu[lo : lo + w])
+            rows *= big_e[lo : lo + w]
+        np.sum(rows, axis=1, out=c[lo : lo + w])
+        np.divide(1.0, c[lo : lo + w], out=inv_c[lo : lo + w])
+        rows *= inv_c[lo : lo + w, None]
+    final = (mu[pack.last] * end_x).sum(axis=1)
+    log_c = np.log(c)
+    log_c[:w0] += begin_max
+    log_c[w0:] += trans_max
+    logz = np.bincount(pack.slot, weights=log_c) + (np.log(final) + end_max)
 
-    alpha = alpha0 = model.begin + e[:w0]  # the alphas of the current step
-    final = np.empty_like(alpha)  # the alphas of each instance's last row
-    with np.errstate(divide="ignore"):
-        for t in range(1, len(widths)):
-            w, lo = widths[t], starts[t]
-            q = slice(lo - w0, lo - w0 + w)
-            final[w : widths[t - 1]] = alpha[w:]
-            m = alpha[:w].max(axis=1, keepdims=True)
-            np.subtract(alpha[:w], m, out=left[q])
-            np.exp(left[q], out=left[q])
-            np.matmul(left[q], exp_trans, out=fwd[q])
-            alpha = np.log(fwd[q])
-            alpha += m
-            alpha += e[lo : lo + w]
-            shift[q] = m
-        final[: widths[-1]] = alpha
-        # the betas of step t in the first widths[t] rows; the rows past them
-        # keep `end`, as each instance's last position does
-        beta = np.tile(model.end, (w0, 1))
-        for t in range(len(widths) - 1, 0, -1):
-            w, lo = widths[t], starts[t]
-            q = slice(lo - w0, lo - w0 + w)
-            v = np.add(beta[:w], e[lo : lo + w], out=right[q])
-            m = v.max(axis=1, keepdims=True)
-            v -= m
-            np.exp(v, out=v)
-            shift[q] += m
-            np.log(v @ exp_trans.T, out=beta[:w])
-            beta[:w] += m
-    final += model.end
-    m = final.max(axis=1, keepdims=True)
-    logz = m[:, 0] + np.log(np.exp(final - m).sum(axis=1))
+    # backward: beta holds the betas of the current step divided by the
+    # scales and by each instance's `final`; the rows past a step's width
+    # keep their instance's last value. A step's posteriors are its alphas
+    # times its betas, and the pair terms of (r - 1, i) -> (r, j) are
+    # alpha[r - 1, i] x[i, j] right[r, j] with right = exp(e) * beta / c
+    beta = np.multiply((1.0 / final)[:, None], end_x, out=pack.buffer("beta", (w0, n_tags)))
+    right_buf = pack.buffer("right", (w0, n_tags))
+    expected_trans = np.zeros((n_tags, n_tags))
+    for t in range(len(widths) - 1, 0, -1):
+        w, lo, prev = widths[t], starts[t], starts[t - 1]
+        right = np.multiply(big_e[lo : lo + w], beta[:w], out=right_buf[:w])
+        mu[lo : lo + w] *= beta[:w]
+        right *= inv_c[lo : lo + w, None]
+        for k in range(0, w, _SUM_ROWS):
+            pairs = mu[prev + k : prev + min(w, k + _SUM_ROWS)].T @ right[k : k + _SUM_ROWS]
+            pairs *= x
+            expected_trans += pairs
+        np.matmul(right, x.T, out=beta[:w])
+    mu[:w0] *= beta
+    return mu, expected_trans, logz
 
-    # step 0: exp(alpha + beta - logz), whose exponent is <= 0 up to rounding
-    mu[:w0] = np.exp(np.minimum(alpha0 + beta - logz[:, None], 0.0))
-    # steps 1, 2, ...: the pairwise marginal of (prev r, i) -> (r, j) is
-    # left[i] exp(trans[i, j]) right[j] c with c = exp(shift - logz), and
-    # the posterior of (r, j) is its sum over i, fwd[j] right[j] c. On the
-    # rows where c would pass exp(_EXP_CAP) these products are taken in
-    # logs: the posteriors exactly, right[j] c capped at exp(_EXP_CAP)
-    shift -= logz[pack.slot[w0:], None]
-    big = np.flatnonzero(shift[:, 0] > _EXP_CAP)
-    with np.errstate(divide="ignore"):
-        log_right = np.log(right[big]) + shift[big]
-        mu_big = np.exp(np.minimum(np.log(fwd[big]) + log_right, 0.0))
-    right[big] = np.exp(np.minimum(log_right, _EXP_CAP))
-    shift[big] = 0.0
-    right *= np.exp(shift)
-    expected_trans = (left.T @ right) * exp_trans
-    fwd *= right
-    fwd[big] = mu_big
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along `axis`, where every line holds a finite entry."""
+    m = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis)
+
+
+def _log_space(
+    e: np.ndarray, pack: _Packing, model: CrfModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_forward_backward` in log space, with a full (row, from, to) block
+    per step: exact at any finite weight."""
+    widths, starts = pack.widths.tolist(), pack.starts.tolist()
+    w0, trans = widths[0], model.transition
+    alpha = np.empty_like(e)
+    alpha[:w0] = model.begin + e[:w0]
+    for t in range(1, len(widths)):
+        w, lo, prev = widths[t], starts[t], starts[t - 1]
+        alpha[lo : lo + w] = _logsumexp(alpha[prev : prev + w, :, None] + trans, 1) + e[lo : lo + w]
+    logz = _logsumexp(alpha[pack.last] + model.end, 1)
+
+    beta = np.empty_like(e)
+    beta[pack.last] = model.end
+    expected_trans = np.zeros_like(trans)
+    for t in range(len(widths) - 1, 0, -1):
+        w, lo, prev = widths[t], starts[t], starts[t - 1]
+        scores = trans + (e[lo : lo + w] + beta[lo : lo + w])[:, None, :]
+        beta[prev : prev + w] = _logsumexp(scores, 2)
+        scores += alpha[prev : prev + w, :, None] - logz[:w, None, None]
+        expected_trans += np.exp(scores).sum(axis=0)
+    mu = pack.buffer("mu", e.shape)
+    np.exp(alpha + beta - logz[pack.slot, None], out=mu)
     return mu, expected_trans, logz
 
 
@@ -654,8 +741,9 @@ def _batch_nll_grad(
 
     if l2:
         w = _pack(model, tmask, bmask, out=batch.buffer("l2", (_n_params(model, tmask, bmask),)))
-        nll += 0.5 * l2 * float(w @ w)
-        # w is dead now, and its head holds l2 * emission
+        # numpy's pairwise sum, not a BLAS dot, so no thread count changes it;
+        # w is dead after it, and its head holds l2 * emission
+        nll += 0.5 * l2 * float(np.add.reduce(np.multiply(w, w, out=w)))
         l2_emission = w[: model.emission.size].reshape(model.emission.shape)
         grad_emission += np.multiply(l2, model.emission, out=l2_emission)
         grad_trans[tmask] += l2 * model.transition[tmask]

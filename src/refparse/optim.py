@@ -11,10 +11,14 @@ to `fun`, so `fun` must copy an `x` it wants to keep. It never writes into
 an array that `fun` returns, which may be read-only. It holds the gradient
 of the current point until the next accepted step, so `fun` must not
 overwrite a gradient it returned.
+
+Every dot product goes through `_dot`, not BLAS, so the result does not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +44,12 @@ class OptResult:
     grad_norm: float  # 2-norm of the gradient at x
 
 
+def _dot(a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> float:
+    """a @ b by numpy's own pairwise sum, whose order no BLAS thread count
+    changes; `tmp` is scratch of a's shape."""
+    return float(np.add.reduce(np.multiply(a, b, out=tmp)))
+
+
 def _two_loop(
     g: np.ndarray, pairs: list[tuple[np.ndarray, float]], q: np.ndarray, tmp: np.ndarray
 ) -> None:
@@ -48,15 +58,15 @@ def _two_loop(
     np.copyto(q, g)
     alphas = []
     for (s, y), rho in reversed(pairs):
-        a = rho * float(s @ q)
+        a = rho * _dot(s, q, tmp)
         q -= np.multiply(y, a, out=tmp)  # the bits of q -= a * y
         alphas.append(a)
     if pairs:
         (s, y), _ = pairs[-1]
-        gamma = float(s @ y) / float(y @ y)
+        gamma = _dot(s, y, tmp) / _dot(y, y, tmp)
         q *= gamma
     for ((s, y), rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * _dot(y, q, tmp)
         q += np.multiply(s, a - b, out=tmp)
     np.negative(q, out=q)
 
@@ -85,11 +95,11 @@ def minimize(
 
     for k in range(1, max_iter + 1):
         _two_loop(g, pairs, d, tmp)
-        gd = float(g @ d)
+        gd = _dot(g, d, tmp)
         if gd >= 0.0:
             # not a descent direction; fall back to steepest descent
             np.negative(g, out=d)
-            gd = float(g @ d)
+            gd = _dot(g, d, tmp)
             if gd >= 0.0:
                 converged = True
                 break
@@ -114,7 +124,7 @@ def minimize(
         s, y = slot
         np.subtract(x_new, x, out=s)
         np.subtract(g_new, g, out=y)
-        sy = float(s @ y)
+        sy = _dot(s, y, tmp)
         if sy > 1e-10:
             pairs.append((slot, 1.0 / sy))
             if len(pairs) > HISTORY:
@@ -136,5 +146,5 @@ def minimize(
         log=log,
         converged=converged,
         n_evals=n_evals,
-        grad_norm=float(np.linalg.norm(g)),
+        grad_norm=math.sqrt(_dot(g, g, tmp)),
     )

@@ -138,6 +138,31 @@ def _all_paths(n_tags: int, length: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _path_scores(inst, model) -> tuple[np.ndarray, np.ndarray]:
+    """Every tag path of `inst` and its score, -inf where it is forbidden."""
+    e = emissions(inst, model)
+    paths = _all_paths(len(model.tags), len(inst))
+    with np.errstate(invalid="ignore"):
+        scores = model.begin[paths[:, 0]] + e[0, paths[:, 0]] + model.end[paths[:, -1]]
+        for t in range(1, len(inst)):
+            scores = scores + model.transition[paths[:, t - 1], paths[:, t]]
+            scores = scores + e[t, paths[:, t]]
+    scores = np.where(np.isnan(scores), -np.inf, scores)  # -inf + inf never occurs; nan only from -inf arithmetic
+    return paths, scores
+
+
+def expected_transitions(inst, model) -> np.ndarray:
+    """(L, L) expected transition counts of `inst` by exhaustive enumeration."""
+    paths, scores = _path_scores(inst, model)
+    weights = np.exp(scores - scores.max())
+    weights /= weights.sum()
+    n_tags = len(model.tags)
+    counts = np.zeros((n_tags, n_tags))
+    for t in range(1, len(inst)):
+        np.add.at(counts, (paths[:, t - 1], paths[:, t]), weights)
+    return counts
+
+
 def enumerate_all(inst, model):
     """(logZ, argmax path, marginal table) by exhaustive enumeration.
 
@@ -147,14 +172,7 @@ def enumerate_all(inst, model):
     """
     n_tags = len(model.tags)
     length = len(inst)
-    e = emissions(inst, model)
-    paths = _all_paths(n_tags, length)
-    with np.errstate(invalid="ignore"):
-        scores = model.begin[paths[:, 0]] + e[0, paths[:, 0]] + model.end[paths[:, -1]]
-        for t in range(1, length):
-            scores = scores + model.transition[paths[:, t - 1], paths[:, t]]
-            scores = scores + e[t, paths[:, t]]
-    scores = np.where(np.isnan(scores), -np.inf, scores)  # -inf + inf never occurs; nan only from -inf arithmetic
+    paths, scores = _path_scores(inst, model)
     finite = scores > -np.inf
     m = scores[finite].max()
     logz = float(m + np.log(np.exp(scores[finite] - m).sum()))
@@ -312,10 +330,15 @@ def tags_from_spans(
     return tuple(tags)
 
 
+def _dot(a, b) -> float:
+    return float(np.add.reduce(a * b))
+
+
 def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptResult:
     """`optim.minimize`'s L-BFGS, written with a fresh array for every
     vector and list-held (s, y) pairs: the arithmetic that the in-place
-    version must reproduce bit for bit."""
+    version must reproduce bit for bit. Its dot products are numpy's
+    pairwise sums of the products, as `optim`'s are."""
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
     n_evals, log, pairs, converged = 1, [(0, f)], [], False
@@ -323,19 +346,19 @@ def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptRe
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(pairs):
-            a = rho * float(s @ q)
+            a = rho * _dot(s, q)
             q = q - a * y
             alphas.append(a)
         if pairs:
             s, y, _ = pairs[-1]
-            q = q * (float(s @ y) / float(y @ y))
+            q = q * (_dot(s, y) / _dot(y, y))
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q = q + (a - rho * float(y @ q)) * s
+            q = q + (a - rho * _dot(y, q)) * s
         d = -q
-        gd = float(g @ d)
+        gd = _dot(g, d)
         if gd >= 0.0:
             d = -g
-            gd = float(g @ d)
+            gd = _dot(g, d)
             if gd >= 0.0:
                 converged = True
                 break
@@ -351,8 +374,8 @@ def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptRe
             converged = True
             break
         s, y = x_new - x, g_new - g
-        if float(s @ y) > 1e-10:
-            pairs = [*pairs, (s, y, 1.0 / float(s @ y))][-optim.HISTORY :]
+        if _dot(s, y) > 1e-10:
+            pairs = [*pairs, (s, y, 1.0 / _dot(s, y))][-optim.HISTORY :]
         rel_change = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         log.append((k, f))
@@ -361,7 +384,7 @@ def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptRe
             break
     return optim.OptResult(
         x=x, value=f, log=log, converged=converged, n_evals=n_evals,
-        grad_norm=float(np.linalg.norm(g)),
+        grad_norm=float(np.sqrt(_dot(g, g))),
     )
 
 

@@ -8,7 +8,7 @@ import math
 import pytest
 
 import refparse as rp
-from refparse import crf, labels
+from refparse import cli, crf, labels
 from refparse.cli import run
 from refparse.corpus import format_conll, format_inline_xml
 from refparse.crf import empty_model, save_model
@@ -511,9 +511,18 @@ def test_parse_across_chunks_matches_line_by_line_decode(
     text = "\n".join(["", refs[0], "  ", *refs[1:4], "", f"  {refs[4]} ", *refs[5:], ""])
     (tmp_path / "refs.txt").write_text(text + "\n", encoding="utf-8")
     monkeypatch.setattr(crf, "_DECODE_CHUNK", 3)
+    # parse holds one chunk of references at a time
+    calls = []
+
+    def decode_many(model, raws):
+        calls.append(len(raws))
+        return crf.decode_many(model, raws)
+
+    monkeypatch.setattr(cli, "decode_many", decode_many)
     out = tmp_path / "parsed.txt"
     assert run(["parse", "--model", str(model_path), "--in", str(tmp_path / "refs.txt"),
                 "--out", str(out), "--format", out_format]) == 0
+    assert calls == [3, 3, 3, 1]
     want = []
     for ref in refs:
         inst = rp.decode(model, ref)

@@ -1,5 +1,9 @@
 import logging
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,14 @@ def unconstrained_model(n_tags: int, n_feats: int = 4) -> crf.CrfModel:
 
 def simple_instance(feats_per_pos, gold=None, n_feats: int = 4):
     return oracles.instance(feats_per_pos, n_feats, gold)
+
+
+def _refuse(name: str):
+    """A stand-in for the forward-backward path `name` that fails if run."""
+    def refuse(*args):
+        raise AssertionError(f"{name} ran")
+
+    return refuse
 
 
 class TestStructure:
@@ -539,7 +551,9 @@ class TestNllAndGradient:
         for part in ("emission", "transition", "begin", "end"):
             np.testing.assert_allclose(getattr(grad, part), getattr(want, part))
 
-    def test_matches_finite_differences(self):
+    def test_matches_finite_differences(self, monkeypatch):
+        # on the probability-space path: these weights pass its range check
+        monkeypatch.setattr(crf, "_log_space", _refuse("_log_space"))
         rng = np.random.default_rng(6)
         h = 1e-5
         for _ in range(8):
@@ -624,9 +638,9 @@ class TestNumericalRobustness:
         assert len(tags) == length
 
     def test_posteriors_exact_where_the_pair_factor_is_capped(self):
-        # a model drawn in +-400 whose row 1 needs exp(m + m' - logZ) beyond
-        # exp(_EXP_CAP): the only way into I-author passes B-author at 0,
-        # far below the forward max there; its posterior is still 1
+        # a model drawn in +-400: the only way into I-author at row 1 passes
+        # B-author at 0, far below the forward max there; its posterior is
+        # still 1
         m = crf.empty_model(("author",), FeatureIndex(("f0", "f1", "f2")), FeatureConfig())
         m = replace(
             m,
@@ -649,8 +663,8 @@ class TestNumericalRobustness:
         np.testing.assert_allclose(crf.marginals(inst, m), marg_e, atol=1e-8)
 
     def test_large_weights_match_enumeration(self):
-        # far beyond trained weight sizes; all of 100 random models at
-        # +-200 were exact, while at +-400 some already were not
+        # far beyond trained weight sizes: at +-200 every batch fails the
+        # range check, so this checks the log-space path and its gradient
         rng = np.random.default_rng(10)
         h = 1e-5
         for _ in range(20):
@@ -677,6 +691,70 @@ class TestNumericalRobustness:
                     - oracles.nll(insts, crf._unpack(xm, m, tmask, bmask))
                 ) / (2 * h)
                 assert abs(fd - gvec[i]) <= 1e-4 * max(1.0, abs(fd), abs(gvec[i]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [400.0, 600.0, 1000.0])
+    def test_huge_weights_match_enumeration(self, scale):
+        # every batch here fails the range check; the log-space path must be
+        # exact at any weight, with no overflow on the way
+        rng = np.random.default_rng(int(scale))
+        for _ in range(100):
+            m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)), scale=scale)
+            inst = oracles.random_instance(rng, m, int(rng.integers(1, 6)))
+            logz_e, _, marg_e = oracles.enumerate_all(inst, m)
+            mu, expected_trans, logz = crf._forward_backward(*crf._one(inst, m, "test"), m)
+            assert abs(logz[0] - logz_e) <= 1e-8 * max(1.0, abs(logz_e))
+            np.testing.assert_allclose(mu, marg_e, atol=1e-8)
+            np.testing.assert_allclose(
+                expected_trans, oracles.expected_transitions(inst, m), atol=1e-8
+            )
+
+    @pytest.mark.parametrize("offset", [0.0, 600.0, -600.0])
+    def test_range_check_boundary(self, offset, monkeypatch):
+        # scaled to a reach just inside the proven bound, the batch takes the
+        # probability-space path and is exact; just outside, it takes the
+        # log-space path. An offset on every emission weight makes the
+        # emission scores' magnitude, not their spread, dominate the reach
+        rng = np.random.default_rng(32)
+        m = oracles.random_model(rng, n_fields=2, n_feats=4, scale=1.0)
+        m = replace(m, emission=m.emission + offset)
+        inst = oracles.instance([[t % 4] for t in range(5)], 4)
+        fixed = 3.0 * np.log(len(m.tags))
+        per_unit = crf._reach(inst.x @ m.emission, m) - fixed
+        for target, other in (
+            (crf._REACH - 0.5, "_log_space"),
+            (crf._REACH + 0.5, "_probability_space"),
+        ):
+            k = (target - fixed) / per_unit
+            mk = replace(
+                m, emission=k * m.emission, transition=k * m.transition,
+                begin=k * m.begin, end=k * m.end,
+            )
+            assert crf._reach(inst.x @ mk.emission, mk) == pytest.approx(target, abs=1e-9)
+            logz_e, _, marg_e = oracles.enumerate_all(inst, mk)
+            with monkeypatch.context() as patch:
+                patch.setattr(crf, other, _refuse(other))
+                mu, expected_trans, logz = crf._forward_backward(*crf._one(inst, mk, "test"), mk)
+            assert abs(logz[0] - logz_e) <= 1e-10 * abs(logz_e)
+            np.testing.assert_allclose(mu, marg_e, atol=1e-10)
+            np.testing.assert_allclose(
+                expected_trans, oracles.expected_transitions(inst, mk), atol=1e-10
+            )
+
+    def test_probability_space_agrees_with_log_space(self):
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)), scale=5.0)
+            insts = [oracles.random_instance(rng, m, int(rng.integers(1, 12))) for _ in range(20)]
+            lengths = np.array([len(inst) for inst in insts])
+            e = sparse.vstack([inst.x for inst in insts]) @ m.emission
+            e = e[crf._Packing(lengths).source]
+            assert crf._reach(e, m) <= crf._REACH
+            # each path on its own packing, whose workspace holds its posteriors
+            fast = crf._probability_space(e, crf._Packing(lengths), m)
+            exact = crf._log_space(e, crf._Packing(lengths), m)
+            for got, want in zip(fast, exact):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestTraining:
@@ -770,6 +848,11 @@ class TestTraining:
         surfaces = [s for inst in corpus.instances for s in inst.surfaces()]
         assert len(set(surfaces)) < len(surfaces)
         assert calls == list(dict.fromkeys(surfaces))
+
+    def test_every_objective_evaluation_takes_the_probability_space_path(self, monkeypatch):
+        monkeypatch.setattr(crf, "_log_space", _refuse("_log_space"))
+        model = crf.train(_corpus(4), FeatureConfig(), crf.TrainConfig())
+        assert np.abs(model.emission).max() > 1.0
 
     def test_empty_corpus_rejected(self):
         empty = Corpus(name="e", labels=("author",), instances=())
@@ -979,6 +1062,26 @@ class TestWorkspace:
             t.join(timeout=120)
         assert order[:6] == [0, 1, 0, 1, 0, 1]
         assert files == alone
+
+
+def test_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each training runs in a fresh process, as BLAS reads its thread count
+    # once, at load; tests/conftest.py pins 1 thread, so each run sets all three
+    rp.write_corpus(_corpus(8, n=30), tmp_path / "train.xml")
+    env = {**os.environ, "PYTHONPATH": str(Path(crf.__file__).parents[1])}
+    models = []
+    for threads in ("1", "2", "3"):
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        path = tmp_path / f"model{threads}.gz"
+        proc = subprocess.run(
+            [sys.executable, "-m", "refparse.cli", "train", str(tmp_path / "train.xml"),
+             "--model", str(path)],
+            env={**env, **blas}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        models.append(path.read_bytes())
+    assert models[1] == models[0]
+    assert models[2] == models[0]
 
 
 class TestModelIO:
