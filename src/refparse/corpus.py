@@ -284,15 +284,19 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def split(corpus: Corpus, ratio: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Seeded shuffle then prefix split; |train| = floor(ratio * N)."""
+    """Seeded shuffle then prefix split; |train| = floor(ratio * N), and
+    neither side may be empty."""
     if not 0.0 < ratio < 1.0:
         raise UsageError(f"split ratio must be in (0, 1), got {shown(ratio)}")
     n = len(corpus)
-    if n == 0:
-        raise UsageError("cannot split an empty corpus")
-    order = seeded_rng(seed).permutation(n)
     # absorb float representation error toward the mathematical floor
     n_train = int(math.floor(ratio * n + 1e-9))
+    if not 0 < n_train < n:
+        raise UsageError(
+            f"split ratio {shown(ratio)} of {n} references gives {n_train} train and "
+            f"{n - n_train} eval; both must be non-empty"
+        )
+    order = seeded_rng(seed).permutation(n)
     train_idx, eval_idx = order[:n_train], order[n_train:]
     return (
         replace(

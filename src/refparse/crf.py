@@ -25,8 +25,8 @@ hands back on every later one: forward-backward's posteriors and step
 tables, and the training batch's L2 scratch. Every element is written
 before it is read, so the arithmetic, and the model bytes, are what fresh
 arrays give. The posteriors `_forward_backward` returns are the workspace's,
-overwritten by the next call on the same packing; `marginals` and
-`log_partition` pack each call afresh, so what they return stays put.
+overwritten by the next call on the same packing; `marginals` packs each
+call afresh, so what it returns stays put.
 
 Feature rows are factored by token surface in one key layout, which
 training (features.training_factors) and inference (FeatureIds.keys)
@@ -38,8 +38,10 @@ scores the keys of a batch's distinct surfaces with one sparse product,
 then runs one Viterbi pass per batch. A position's emission scores are its
 2 * window + 3 key scores added in template order. They differ from the
 sum over the position's feature ids only by rounding, and an instance
-gets the same scores, bit for bit, alone and in any batch. `vectorize`
-lays each position's keys' ids end to end, in template order.
+gets the same scores, bit for bit, alone and in any batch. The
+per-instance API takes the same route: `nll_and_gradient` builds its batch
+from the keys as `train` does, and `marginals` and `viterbi` score as
+`_decode` does.
 
 Viterbi keeps the full (to, from) block on steps narrower than
 _PRUNE_ROWS rows, such as every step of a single instance. Wider steps
@@ -251,14 +253,13 @@ def empty_model(
 
 @dataclass(frozen=True)
 class VectorizedInstance:
-    """(T, F) feature matrix, 1 where a feature is active at a position,
-    plus optional gold tag ids."""
+    """One token sequence's surfaces, plus optional gold tag ids."""
 
-    x: sparse.csr_matrix
+    surfaces: tuple[str, ...]
     gold: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return len(self.surfaces)
 
 
 def vectorize(
@@ -267,16 +268,9 @@ def vectorize(
     gold_tags: Sequence[str] | None = None,
     name: str = "<instance>",
 ) -> VectorizedInstance:
-    """Map one token sequence (and optionally its gold tags) onto the model's
-    feature and tag ids. Unknown features are dropped; unknown gold tags are
-    a data error naming the instance."""
-    ids, key_sizes, keys = model.feature_ids.keys([surfaces])
-    # a position's ids are its keys' ids, key after key: the keys' ranges
-    # of ids, laid end to end
-    sizes = key_sizes[keys].ravel()
-    shift = (np.cumsum(key_sizes) - key_sizes)[keys].ravel() - (np.cumsum(sizes) - sizes)
-    cols = ids[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
-    x = ones_matrix(cols, sizes.reshape(keys.shape).sum(axis=1), len(model.feature_index))
+    """One token sequence and, optionally, its gold tags as the model's tag
+    ids; unknown gold tags are a data error naming the instance. Its feature
+    ids are looked up where it is scored (`FeatureIds.keys`)."""
     gold = None
     if gold_tags is not None:
         if len(gold_tags) != len(surfaces):
@@ -286,31 +280,12 @@ def vectorize(
             gold = np.array([ids[t] for t in gold_tags], dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"{name}: tag {exc.args[0]!r} not in model tag set") from None
-    return VectorizedInstance(x=x, gold=gold)
+    return VectorizedInstance(surfaces=tuple(surfaces), gold=gold)
 
 
 # ---------------------------------------------------------------------------
 # inference
 # ---------------------------------------------------------------------------
-
-def score_path(inst: VectorizedInstance, tags: Sequence[str], model: CrfModel) -> float:
-    """Sum of emission and transition weights along one tag path."""
-    if len(tags) != len(inst):
-        raise StructuralError(f"{len(tags)} tags for {len(inst)} positions")
-    if len(inst) == 0:
-        raise StructuralError("score_path of a zero-length instance")
-    ids = model.tag_ids
-    try:
-        path = [ids[t] for t in tags]
-    except KeyError as exc:
-        raise StructuralError(f"tag {exc.args[0]!r} not in model tag set") from None
-    e = inst.x @ model.emission
-    total = model.begin[path[0]] + e[0, path[0]]
-    for t in range(1, len(path)):
-        total += model.transition[path[t - 1], path[t]] + e[t, path[t]]
-    total += model.end[path[-1]]
-    return float(total)
-
 
 class _Packing:
     """Instances of the given `lengths` (all >= 1) packed for the recursions:
@@ -514,25 +489,6 @@ def _log_space(
     return mu, expected_trans, logz
 
 
-def _one(inst: VectorizedInstance, model: CrfModel, what: str) -> tuple[np.ndarray, _Packing]:
-    """Emission scores and packing of one instance, which must not be empty."""
-    if len(inst) == 0:
-        raise StructuralError(f"{what} of a zero-length instance")
-    return inst.x @ model.emission, _Packing(np.array([len(inst)]))
-
-
-def log_partition(inst: VectorizedInstance, model: CrfModel) -> float:
-    """log of the summed exponentiated scores over all tag paths."""
-    *_, logz = _forward_backward(*_one(inst, model, "log_partition"), model)
-    return float(logz[0])
-
-
-def marginals(inst: VectorizedInstance, model: CrfModel) -> np.ndarray:
-    """(T, L) per-position tag posteriors; rows sum to 1."""
-    mu, _, _ = _forward_backward(*_one(inst, model, "marginals"), model)
-    return mu
-
-
 def _pruned_step(vp: np.ndarray, tables: _ViterbiTables) -> tuple[np.ndarray, np.ndarray]:
     """One Viterbi step from the path scores `vp` (rows, L) of the previous
     step: the best previous tag of each (row, target) and what it adds, both
@@ -609,12 +565,6 @@ def _viterbi(e: np.ndarray, pack: _Packing, model: CrfModel) -> np.ndarray:
     return best - row_base
 
 
-def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
-    """Highest-scoring tag path; ties break toward the lowest tag id."""
-    best = _viterbi(*_one(inst, model, "viterbi"), model)
-    return tuple(model.tags[i] for i in best.tolist())
-
-
 def _emissions(
     model: CrfModel, ids: np.ndarray, sizes: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
@@ -656,6 +606,21 @@ def predict_tags(model: CrfModel, surfaces: Sequence[str]) -> tuple[str, ...]:
     return _decode(model, [surfaces])[0]
 
 
+def viterbi(inst: VectorizedInstance, model: CrfModel) -> tuple[str, ...]:
+    """`predict_tags` of the instance's surfaces."""
+    return predict_tags(model, inst.surfaces)
+
+
+def marginals(model: CrfModel, surfaces: Sequence[str]) -> np.ndarray:
+    """(T, L) tag posteriors of one token sequence, from the emission scores
+    that decoding uses; rows sum to 1."""
+    if not surfaces:
+        raise StructuralError("marginals of a zero-length instance")
+    e = _emissions(model, *model.feature_ids.keys([surfaces]))
+    mu, _, _ = _forward_backward(e, _Packing(np.array([len(surfaces)])), model)
+    return mu
+
+
 def decode_many(model: CrfModel, raws: Sequence[str]) -> list[LabeledReference]:
     """Tokenize raw texts and decode them in packed batches (`_decode`)."""
     tokens = [tokenize(raw) for raw in raws]
@@ -684,9 +649,9 @@ class _Batch(_Packing):
     """Gold instances packed for `_forward_backward`, with the observed
     transition, begin and end counts. Their feature rows, stacked one
     instance after another, are `h @ xv`: `h` (P, K) picks each position's
-    keys and `xv` (K, F) holds each key's feature ids. `train` passes the
-    rows factored by surface (`training_factors`), `nll_and_gradient` the
-    rows themselves with one key per feature. `gold` holds the gold tag ids
+    keys and `xv` (K, F) holds each key's feature ids, in the one key layout
+    that `train` (`training_factors`) and `nll_and_gradient`
+    (`FeatureIds.keys`) both build. `gold` holds the gold tag ids
     and `lengths` the instance lengths. The packing permutes the rows of `h`
     and `gold` only. `gold_flat` holds each packed row's flat index of its
     gold tag in a (P, L) array."""
@@ -756,21 +721,21 @@ def _batch_nll_grad(
 def nll_and_gradient(
     instances: Sequence[VectorizedInstance], model: CrfModel, l2: float = 0.0
 ) -> tuple[float, CrfGradient]:
-    """Regularized negative log-likelihood of the batch and its gradient."""
+    """Regularized negative log-likelihood of the batch and its gradient,
+    over the rows that `train` builds: the instances' keys
+    (`FeatureIds.keys`). `l2` is checked as `TrainConfig` checks it."""
+    TrainConfig(l2=l2)
     if not instances:
         raise UsageError("batch must be non-empty")
-    n_features = len(model.feature_index)
     for inst in instances:
         if inst.gold is None:
             raise UsageError("batch instances need gold tags")
         if len(inst) == 0:
             raise StructuralError("zero-length instance in batch")
-        if inst.x.shape[1] != n_features:
-            raise StructuralError(f"instance rows do not have the model's {n_features} features")
-    x = sparse.vstack([inst.x for inst in instances], format="csr")
+    ids, sizes, keys = model.feature_ids.keys([inst.surfaces for inst in instances])
     batch = _Batch(
-        x,
-        sparse.identity(x.shape[1], format="csr"),
+        ones_matrix(keys.ravel(), np.full(len(keys), keys.shape[1]), len(sizes)),
+        ones_matrix(ids, sizes, len(model.feature_index)),
         np.concatenate([inst.gold for inst in instances]),
         np.array([len(inst) for inst in instances], dtype=np.int64),
         len(model.tags),

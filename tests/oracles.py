@@ -7,12 +7,16 @@ L-BFGS that allocates every vector afresh, a character-stepping template
 parser, a counting template renderer and a name-level feature walk) so the
 tests never trust the code path they check. Enumeration is vectorized over
 the full path table to keep hundreds of oracle comparisons fast.
+
+A random-row instance (`Instance`) is laid out in the CRF's one key layout,
+with one key per position (`layout`), so that `inference` and `objective`
+run the packed routines that training and decoding run on it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,14 +40,8 @@ from refparse.synthgen import SLOT_NAMES, Group, Literal, Slot, _slot_parts
 FIELDS = ("author", "title", "date")
 
 
-def random_model(
-    rng: np.random.Generator, n_fields: int = 2, n_feats: int = 8, scale: float = 2.0
-):
-    """A model with weights uniform in [-scale, scale] on all free parameters."""
-    index = FeatureIndex(names=tuple(f"f{i}" for i in range(n_feats)))
-    model = crf.empty_model(
-        FIELDS[:n_fields], index, FeatureConfig(gazetteers={})
-    )
+def _random_weights(rng: np.random.Generator, model, scale: float):
+    """`model` with weights uniform in [-scale, scale] on all free parameters."""
     tmask, bmask = crf._structure_masks(model.tags)
     return replace(
         model,
@@ -54,6 +52,28 @@ def random_model(
         begin=np.where(bmask, rng.uniform(-scale, scale, size=model.begin.shape), -np.inf),
         end=rng.uniform(-scale, scale, size=model.end.shape),
     )
+
+
+def random_model(
+    rng: np.random.Generator, n_fields: int = 2, n_feats: int = 8, scale: float = 2.0
+):
+    """A model over the features f0, f1, ... with random weights."""
+    index = FeatureIndex(names=tuple(f"f{i}" for i in range(n_feats)))
+    model = crf.empty_model(FIELDS[:n_fields], index, FeatureConfig(gazetteers={}))
+    return _random_weights(rng, model, scale)
+
+
+def surface_model(
+    rng: np.random.Generator,
+    corpus: Sequence[Sequence[str]],
+    n_fields: int = 2,
+    config: FeatureConfig = FeatureConfig(),
+    scale: float = 2.0,
+):
+    """A model over the feature index of a corpus of surface sequences, with
+    random weights."""
+    index, _, _ = features.training_factors(corpus, config)
+    return _random_weights(rng, crf.empty_model(FIELDS[:n_fields], index, config), scale)
 
 
 def id_matrix(id_lists, n_features: int) -> sparse.csr_matrix:
@@ -67,20 +87,79 @@ def id_matrix(id_lists, n_features: int) -> sparse.csr_matrix:
     )
 
 
-def instance(rows, n_feats: int, gold=None):
-    """A VectorizedInstance whose position t has the feature ids rows[t]."""
-    return crf.VectorizedInstance(x=id_matrix(rows, n_feats), gold=gold)
+def key_rows(ids: np.ndarray, sizes: np.ndarray, keys: np.ndarray) -> list[list[int]]:
+    """Each position's feature ids from a key layout as `FeatureIds.keys`
+    gives it: its keys' ids, key after key."""
+    per_key = np.split(ids, np.cumsum(sizes)[:-1])
+    return [[i for k in row for i in per_key[k].tolist()] for row in keys.tolist()]
+
+
+@dataclass(frozen=True)
+class Instance:
+    """An instance whose position t has the feature ids rows[t], plus
+    optional gold tag ids."""
+
+    rows: tuple
+    gold: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def instance(rows, gold=None) -> Instance:
+    return Instance(rows=tuple(list(r) for r in rows), gold=gold)
+
+
+def named_instance(surfaces: Sequence[str], model) -> Instance:
+    """The instance of a surface sequence, its rows from the name-level walk."""
+    lookup = model.feature_index.lookup_many
+    return instance([lookup(names) for names in extract(surfaces, model.feature_config)])
+
+
+def layout(instances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instances' positions in the key layout of `FeatureIds.keys`, one
+    instance after another, with one key per position: the keys' ids laid end
+    to end, each key's number of ids, and the (P, 1) key array."""
+    rows = [row for inst in instances for row in inst.rows]
+    sizes = np.array([len(row) for row in rows], dtype=np.int64)
+    ids = np.array([i for row in rows for i in row], dtype=np.int32)
+    return ids, sizes, np.arange(len(rows))[:, None]
+
+
+def scores(instances, model) -> tuple[np.ndarray, "crf._Packing"]:
+    """`crf._emissions` of the instances' layout in packed row order, and
+    the packing."""
+    ids, sizes, keys = layout(instances)
+    pack = crf._Packing(np.array([len(inst) for inst in instances]))
+    return crf._emissions(model, ids, sizes, keys[pack.source]), pack
+
+
+def inference(inst, model) -> tuple[float, np.ndarray, tuple[int, ...]]:
+    """(logZ, posteriors, best path) of one instance, from
+    `crf._forward_backward` and `crf._viterbi` over its layout."""
+    e, pack = scores([inst], model)
+    mu, _, logz = crf._forward_backward(e, pack, model)
+    return float(logz[0]), mu, tuple(crf._viterbi(e, pack, model).tolist())
+
+
+def objective(instances, model, l2: float = 0.0):
+    """`crf._batch_nll_grad` over the `crf._Batch` of the instances' layout."""
+    ids, sizes, keys = layout(instances)
+    batch = crf._Batch(
+        id_matrix(keys, len(keys)),
+        id_matrix(np.split(ids, np.cumsum(sizes)[:-1]), len(model.feature_index)),
+        np.concatenate([inst.gold for inst in instances]),
+        np.array([len(inst) for inst in instances]),
+        len(model.tags),
+    )
+    return crf._batch_nll_grad(batch, model, l2)
 
 
 def emissions(inst, model) -> np.ndarray:
     """(T, L) emission scores: model.emission rows summed over each row's ids."""
-    x = inst.x
     return np.array(
-        [
-            model.emission[x.indices[x.indptr[t] : x.indptr[t + 1]]].sum(axis=0)
-            for t in range(x.shape[0])
-        ]
-    ).reshape(x.shape[0], model.emission.shape[1])
+        [model.emission[np.array(row, dtype=np.intp)].sum(axis=0) for row in inst.rows]
+    ).reshape(len(inst), model.emission.shape[1])
 
 
 def random_instance(
@@ -112,11 +191,11 @@ def random_instance(
             tags.append(tag)
             prev = tag
         gold = np.array([model.tags.index(t) for t in tags], dtype=np.int64)
-    return instance(rows, len(model.feature_index), gold)
+    return instance(rows, gold)
 
 
 def path_score_by_summation(inst, model, path) -> float:
-    """score_path recomputed by direct summation over one path."""
+    """The score of one tag path by direct summation."""
     e = emissions(inst, model)
     total = model.begin[path[0]] + e[0, path[0]]
     for t in range(1, len(path)):

@@ -204,14 +204,14 @@ def test_criterion_1_crf_oracle_equivalence():
             model = oracles.random_model(rng, n_fields=n_fields)
             inst = oracles.random_instance(rng, model, int(rng.integers(1, 7)))
 
-            logz = crf.log_partition(inst, model)
+            # crf._forward_backward and crf._viterbi over the emission
+            # scores of the instance's key layout
+            logz, marg, decoded = oracles.inference(inst, model)
             logz_ref, best_ref, marg_ref = oracles.enumerate_all(inst, model)
             assert abs(logz - logz_ref) <= 1e-8 * max(1.0, abs(logz_ref))
 
-            decoded = tuple(model.tags.index(t) for t in crf.viterbi(inst, model))
             assert decoded == best_ref
 
-            marg = crf.marginals(inst, model)
             np.testing.assert_allclose(marg, marg_ref, atol=1e-8)
             np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-9)
 
@@ -236,7 +236,8 @@ def test_criterion_2_gradient_check():
             ]
             l2 = float(rng.uniform(0.0, 1.0))
             tmask, bmask = crf._structure_masks(model.tags)
-            _, grad = crf.nll_and_gradient(batch, model, l2)
+            # crf._batch_nll_grad over the batch of the instances' key layout
+            _, grad = oracles.objective(batch, model, l2)
             gvec = crf._grad_vector(grad, tmask, bmask)
             x0 = crf._pack(model, tmask, bmask)
             for i in range(len(x0)):
@@ -244,12 +245,8 @@ def test_criterion_2_gradient_check():
                 xp[i] += h
                 xm = x0.copy()
                 xm[i] -= h
-                fp, _ = crf.nll_and_gradient(
-                    batch, crf._unpack(xp, model, tmask, bmask), l2
-                )
-                fm, _ = crf.nll_and_gradient(
-                    batch, crf._unpack(xm, model, tmask, bmask), l2
-                )
+                fp, _ = oracles.objective(batch, crf._unpack(xp, model, tmask, bmask), l2)
+                fm, _ = oracles.objective(batch, crf._unpack(xm, model, tmask, bmask), l2)
                 fd = (fp - fm) / (2 * h)
                 assert abs(fd - gvec[i]) <= 1e-4 * max(1.0, abs(fd), abs(gvec[i]))
 

@@ -240,6 +240,22 @@ def test_bad_ratio_is_usage_error(tmp_path, capsys):
 NOT_UTF8 = b"A. Author, \xff\xfe title, 2015.\n"
 GOOD_CORPUS = b"<author>A. Author</author>, <title>A title</title>, <date>2015</date>.\n"
 
+
+def test_split_leaving_a_side_empty_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "c.xml"
+    src.write_bytes(GOOD_CORPUS * 40)
+    code = run(
+        [
+            "split", str(src), "--ratio", "0.01", "--seed", "0",
+            "--train-out", str(tmp_path / "a"), "--eval-out", str(tmp_path / "b"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "gives 0 train and 40 eval" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.xml"]
+
+
 # id -> (files written into the test directory, argv with {d} for that
 # directory, exit code, text the diagnostic must contain)
 BAD_CLI_INPUTS = {

@@ -207,8 +207,16 @@ class TestSplit:
     def test_bad_inputs(self):
         with pytest.raises(UsageError):
             rp.split(self._corpus(5), 1.5, seed=0)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="gives 0 train and 0 eval"):
             rp.split(self._corpus(0), 0.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, ratio, sizes", [(40, 0.01, "0 train and 40 eval"), (1, 0.5, "0 train and 1 eval"),
+                            (2, 1 - 1e-12, "2 train and 0 eval")],
+    )
+    def test_empty_side_is_usage_error(self, n, ratio, sizes):
+        with pytest.raises(UsageError, match=f"of {n} references gives {sizes}; both must"):
+            rp.split(self._corpus(n), ratio, seed=0)
 
 
 class TestFilterFields:

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy import sparse
 
 import refparse as rp
 from refparse import crf, features, optim
@@ -40,8 +39,17 @@ def unconstrained_model(n_tags: int, n_feats: int = 4) -> crf.CrfModel:
     )
 
 
-def simple_instance(feats_per_pos, gold=None, n_feats: int = 4):
-    return oracles.instance(feats_per_pos, n_feats, gold)
+def simple_instance(feats_per_pos, gold=None):
+    return oracles.instance(feats_per_pos, gold)
+
+
+def _tags(m: crf.CrfModel, ids) -> tuple[str, ...]:
+    return tuple(m.tags[i] for i in ids)
+
+
+def _path_score(inst, m: crf.CrfModel) -> float:
+    """The gold path score of the objective: logZ - NLL at l2 = 0."""
+    return oracles.inference(inst, m)[0] - oracles.objective([inst], m)[0]
 
 
 def _refuse(name: str):
@@ -79,14 +87,13 @@ class TestVectorize:
         index = build_index(oracles.corpus_features([["Proceedings", "of", "2015"]], cfg))
         m = crf.empty_model(["author"], index, cfg)
         surfaces = ["Proceedings", "vol", "2015", "."]
-        x = crf.vectorize(surfaces, m).x
-        assert x.shape == (len(surfaces), len(index))
-        for t, feats in enumerate(oracles.extract(surfaces, cfg)):
-            row = x.indices[x.indptr[t] : x.indptr[t + 1]]
-            assert row.tolist() == index.lookup_many(feats)
-        np.testing.assert_array_equal(x.data, 1.0)
+        inst = crf.vectorize(surfaces, m, gold_tags=["B-author", "I-author", "O", "O"])
+        assert inst.surfaces == tuple(surfaces) and inst.gold.tolist() == [1, 2, 0, 0]
+        assert len(inst) == 4 and crf.vectorize([], m).gold is None
+        rows = oracles.key_rows(*m.feature_ids.keys([inst.surfaces]))
+        assert rows == [index.lookup_many(feats) for feats in oracles.extract(surfaces, cfg)]
 
-        # training rows (h @ xv) and inference rows (from vectorize) follow
+        # training rows (h @ xv) and inference rows (from the keys) follow
         # one id rule, also when min_count drops names
         corpus = [["Proceedings", "of", "2015"], ["Proc", "of", "the", "2015", "."]]
         sizes = []
@@ -96,7 +103,7 @@ class TestVectorize:
             sizes.append(len(index))
             m = crf.empty_model(["author"], index, cfg)
             train_x = h @ xv
-            infer_x = sparse.vstack([crf.vectorize(s, m).x for s in corpus], format="csr")
+            infer_x = oracles.id_matrix(oracles.key_rows(*m.feature_ids.keys(corpus)), len(index))
             assert train_x.shape == infer_x.shape
             assert (train_x != infer_x).nnz == 0
         assert sizes[1] < sizes[0]
@@ -151,43 +158,38 @@ def test_train_config_rejects_values_of_another_type(field, value):
 
 
 class TestScorePath:
+    """The gold path score that the objective subtracts from logZ."""
+
     def test_zero_weights_score_zero(self):
         m = unconstrained_model(2)
-        inst = simple_instance([[0], [1, 2]])
-        assert crf.score_path(inst, ["O", "B-author"], m) == 0.0
+        inst = simple_instance([[0], [1, 2]], gold=np.array([0, 1]))
+        assert _path_score(inst, m) == 0.0
 
     def test_single_active_feature(self):
         m = unconstrained_model(2)
         em = m.emission.copy()
         em[1, 1] = 3.0  # feature 1 under tag B-author
         m = replace(m, emission=em)
-        inst = simple_instance([[1]])
-        assert crf.score_path(inst, ["B-author"], m) == pytest.approx(3.0)
-        assert crf.score_path(inst, ["O"], m) == 0.0
+        assert _path_score(simple_instance([[1]], gold=np.array([1])), m) == pytest.approx(3.0)
+        assert _path_score(simple_instance([[1]], gold=np.array([0])), m) == 0.0
 
     def test_matches_direct_resummation(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = oracles.random_model(rng, n_fields=2)
-            inst = oracles.random_instance(rng, m, int(rng.integers(1, 6)))
-            path = [int(rng.integers(len(m.tags))) for _ in range(len(inst))]
-            tags = [m.tags[i] for i in path]
-            expected = oracles.path_score_by_summation(inst, m, path)
-            got = crf.score_path(inst, tags, m)
-            if np.isfinite(expected):
-                assert got == pytest.approx(expected, rel=1e-12)
-            else:
-                assert got == -np.inf
+            inst = oracles.random_instance(rng, m, int(rng.integers(1, 6)), with_gold=True)
+            expected = oracles.path_score_by_summation(inst, m, inst.gold)
+            assert _path_score(inst, m) == pytest.approx(expected, rel=1e-12)
 
     def test_length_mismatch(self):
         m = unconstrained_model(2)
         with pytest.raises(StructuralError):
-            crf.score_path(simple_instance([[0]]), ["O", "O"], m)
+            crf.vectorize(["a"], m, gold_tags=["O", "O"])
 
     def test_zero_length_rejected(self):
         m = unconstrained_model(2)
         with pytest.raises(StructuralError):
-            crf.score_path(simple_instance([]), [], m)
+            crf.nll_and_gradient([crf.vectorize([], m, gold_tags=[])], m)
 
 
 class TestLogPartition:
@@ -199,26 +201,27 @@ class TestLogPartition:
             FeatureIndex(names=("f0",)),
             FeatureConfig(gazetteers={}),
         )
-        inst = simple_instance([[0]], n_feats=1)
         # I-author cannot start, so 2 valid start tags
-        assert crf.log_partition(inst, m) == pytest.approx(np.log(2))
+        assert oracles.inference(simple_instance([[0]]), m)[0] == pytest.approx(np.log(2))
+        # at zero weights the gold path scores 0, so the NLL is logZ
+        nll, _ = crf.nll_and_gradient([crf.vectorize(["x"], m, gold_tags=["O"])], m)
+        assert nll == pytest.approx(np.log(2))
 
     def test_t2_two_unconstrained_tags(self):
         m = unconstrained_model(2)
-        inst = simple_instance([[0], [0]])
-        assert crf.log_partition(inst, m) == pytest.approx(np.log(4))
+        assert oracles.inference(simple_instance([[0], [0]]), m)[0] == pytest.approx(np.log(4))
 
     def test_zero_length_rejected(self):
         m = unconstrained_model(2)
         with pytest.raises(StructuralError):
-            crf.log_partition(simple_instance([]), m)
+            crf.marginals(m, [])
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)))
             inst = oracles.random_instance(rng, m, int(rng.integers(1, 7)))
-            logz = crf.log_partition(inst, m)
+            logz, _, _ = oracles.inference(inst, m)
             logz_e, _, _ = oracles.enumerate_all(inst, m)
             assert abs(logz - logz_e) <= 1e-8 * max(1.0, abs(logz_e))
 
@@ -230,16 +233,16 @@ class TestViterbi:
             FeatureIndex(names=("f0",)),
             FeatureConfig(gazetteers={}),
         )
-        inst = simple_instance([[0], [0], [0]], n_feats=1)
-        assert crf.viterbi(inst, m) == ("O", "O", "O")
+        assert crf.viterbi(crf.vectorize(["a", "b", "a"], m), m) == ("O", "O", "O")
+        assert crf.viterbi(crf.vectorize([], m), m) == ()
 
     def test_emission_pull_wins(self):
         m = unconstrained_model(3)
         em = m.emission.copy()
         em[2, 2] = 5.0  # feature 2 pulls toward B-title (id 2)
         m = replace(m, emission=em)
-        inst = simple_instance([[0], [2], [0]])
-        assert crf.viterbi(inst, m) == ("O", "B-title", "O")
+        _, _, best = oracles.inference(simple_instance([[0], [2], [0]]), m)
+        assert _tags(m, best) == ("O", "B-title", "O")
 
     def test_matches_enumeration_argmax(self):
         rng = np.random.default_rng(2)
@@ -247,8 +250,7 @@ class TestViterbi:
             m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)))
             inst = oracles.random_instance(rng, m, int(rng.integers(1, 7)))
             _, best, _ = oracles.enumerate_all(inst, m)
-            got = tuple(m.tags.index(t) for t in crf.viterbi(inst, m))
-            assert got == best
+            assert oracles.inference(inst, m)[2] == best
 
     def test_output_always_iob2_valid(self):
         from refparse.labels import check_iob2
@@ -257,7 +259,7 @@ class TestViterbi:
         for _ in range(20):
             m = oracles.random_model(rng, n_fields=3)
             inst = oracles.random_instance(rng, m, int(rng.integers(1, 12)))
-            check_iob2(crf.viterbi(inst, m))
+            check_iob2(_tags(m, oracles.inference(inst, m)[2]))
 
 
 def _mixed_lines() -> list[str]:
@@ -285,24 +287,17 @@ class TestPackedViterbi:
             lengths = rng.integers(1, 7, size=int(rng.integers(2, 7)))
             lengths[-1] = lengths[0]  # at least two instances of equal length
             insts = [oracles.random_instance(rng, m, int(n)) for n in lengths]
-            e = sparse.vstack([inst.x for inst in insts], format="csr") @ m.emission
-            pack = crf._Packing(lengths)
-            best = np.empty(len(e), dtype=np.intp)
-            best[pack.source] = crf._viterbi(e[pack.source], pack, m)
-            paths = np.split(best, np.cumsum(lengths)[:-1])
-            for inst, path in zip(insts, paths):
+            for inst, path in zip(insts, _packed_paths(insts, m)):
                 _, want, _ = oracles.enumerate_all(inst, m)
-                assert tuple(path.tolist()) == want
+                assert path == want
 
 
 def _packed_paths(insts, m) -> list[tuple[int, ...]]:
     """Each instance's path from one `_viterbi` pass over the packed batch."""
-    lengths = np.array([len(inst) for inst in insts])
-    e = sparse.vstack([inst.x for inst in insts], format="csr") @ m.emission
-    pack = crf._Packing(lengths)
+    e, pack = oracles.scores(insts, m)
     best = np.empty(len(e), dtype=np.intp)
-    best[pack.source] = crf._viterbi(e[pack.source], pack, m)
-    return [tuple(p.tolist()) for p in np.split(best, np.cumsum(lengths)[:-1])]
+    best[pack.source] = crf._viterbi(e, pack, m)
+    return [tuple(p.tolist()) for p in np.split(best, np.cumsum([len(i) for i in insts])[:-1])]
 
 
 def _full_block(vp: np.ndarray, transition: np.ndarray):
@@ -373,8 +368,8 @@ class TestPrunedViterbi:
         assert m.viterbi_tables.spread == 1.0
         arg, _ = crf._pruned_step(np.array([[0.0, 1.0]]), m.viterbi_tables)
         assert arg.tolist() == [[0, 1]]
-        insts = [simple_instance([[0], [1]], n_feats=2)] * (2 * crf._PRUNE_ROWS)
-        assert crf.viterbi(insts[0], m) == ("O", "O")
+        insts = [simple_instance([[0], [1]])] * (2 * crf._PRUNE_ROWS)
+        assert oracles.inference(insts[0], m)[2] == (0, 0)
         assert _packed_paths(insts, m) == [(0, 0)] * len(insts)
 
     def test_gap_within_rounding_of_the_spread_is_not_decided(self):
@@ -390,8 +385,8 @@ class TestPrunedViterbi:
         assert m.viterbi_tables.spread == s
         arg, _ = crf._pruned_step(np.array([[big, big + g]]), m.viterbi_tables)
         assert arg.tolist() == [[0, 1]]
-        insts = [simple_instance([[0], [1]], n_feats=2)] * (2 * crf._PRUNE_ROWS)
-        want = tuple(m.tags.index(t) for t in crf.viterbi(insts[0], m))
+        insts = [simple_instance([[0], [1]])] * (2 * crf._PRUNE_ROWS)
+        want = oracles.inference(insts[0], m)[2]
         assert want == (0, 0)
         assert _packed_paths(insts, m) == [want] * len(insts)
 
@@ -411,8 +406,8 @@ class TestDecodeEmissions:
         assert len(set(tokens)) < len(tokens)
         assert any(model.feature_index.lookup(f"w[0]={s.lower()}") is None for s in tokens)
         got = crf._emissions(model, *model.feature_ids.keys(lines))
-        x = sparse.vstack([crf.vectorize(s, model).x for s in lines], format="csr")
-        np.testing.assert_allclose(got, x @ model.emission, rtol=0, atol=1e-12)
+        want = np.concatenate([oracles.emissions(oracles.named_instance(s, model), model) for s in lines])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_alone_equal_in_a_batch(self, small_model_and_eval):
         model, _ = small_model_and_eval
@@ -457,34 +452,45 @@ class TestDecodeMany:
 class TestMarginals:
     def test_uniform_under_zero_weights(self):
         m = unconstrained_model(2)
-        inst = simple_instance([[0], [0]])
-        np.testing.assert_allclose(crf.marginals(inst, m), 0.5)
+        np.testing.assert_allclose(crf.marginals(m, ["a", "b"]), 0.5)
 
     def test_t1_is_softmax_of_emissions(self):
         m = unconstrained_model(2)
         em = m.emission.copy()
         em[0] = [1.0, -1.0]
         m = replace(m, emission=em)
-        inst = simple_instance([[0]])
         e = np.array([1.0, -1.0])
         expected = np.exp(e) / np.exp(e).sum()
-        np.testing.assert_allclose(crf.marginals(inst, m)[0], expected)
+        np.testing.assert_allclose(oracles.inference(simple_instance([[0]]), m)[1][0], expected)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)))
             inst = oracles.random_instance(rng, m, int(rng.integers(1, 7)))
-            marg = crf.marginals(inst, m)
+            _, marg, _ = oracles.inference(inst, m)
             _, _, marg_e = oracles.enumerate_all(inst, m)
             np.testing.assert_allclose(marg, marg_e, atol=1e-8)
             np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_decoder_route_matches_enumeration(self):
+        # public posteriors and tags of surface sequences, against enumeration
+        # over the rows of the name-level walk
+        rng = np.random.default_rng(40)
+        vocab = ["Smith", "J", ".", ",", "2015", "Proc", "of", "IEEE", "vol", "(", "3", ")"]
+        for _ in range(12):
+            corpus = [rng.choice(vocab, size=int(rng.integers(1, 6))).tolist() for _ in range(3)]
+            m = oracles.surface_model(rng, corpus, n_fields=int(rng.integers(1, 4)), scale=0.5)
+            for surfaces in corpus + [["Zqxjvw", "Smith"]]:
+                _, best, marg_e = oracles.enumerate_all(oracles.named_instance(surfaces, m), m)
+                np.testing.assert_allclose(crf.marginals(m, surfaces), marg_e, atol=1e-8)
+                assert crf.predict_tags(m, surfaces) == _tags(m, best)
 
 
 class TestNllAndGradient:
     def test_zero_weight_nll_is_t_log_l(self):
         m = unconstrained_model(3)
-        inst = simple_instance([[0], [1], [2], [3]], gold=np.array([0, 1, 2, 0]))
+        inst = crf.vectorize(["a", "b", "c", "a"], m, gold_tags=["O", "B-author", "B-title", "O"])
         nll, _ = crf.nll_and_gradient([inst], m, l2=0.0)
         assert nll == pytest.approx(4 * np.log(3))
 
@@ -493,7 +499,7 @@ class TestNllAndGradient:
         # under the gold tag: gradient entry = 1/2 - 1 = -0.5
         m = unconstrained_model(2)
         inst = simple_instance([[1]], gold=np.array([1]))
-        _, grad = crf.nll_and_gradient([inst], m, l2=0.0)
+        _, grad = oracles.objective([inst], m, l2=0.0)
         assert grad.emission[1, 1] == pytest.approx(-0.5)
         assert grad.emission[1, 0] == pytest.approx(0.5)
 
@@ -504,7 +510,7 @@ class TestNllAndGradient:
             oracles.random_instance(rng, m, int(rng.integers(1, 6)), with_gold=True)
             for _ in range(4)
         ]
-        nll, _ = crf.nll_and_gradient(insts, m, l2=0.0)
+        nll, _ = oracles.objective(insts, m, l2=0.0)
         assert nll == pytest.approx(oracles.nll(insts, m), rel=1e-10)
 
     def test_batch_order_does_not_matter(self):
@@ -515,53 +521,62 @@ class TestNllAndGradient:
             oracles.random_instance(rng, m, length, with_gold=True)
             for length in (3, 5, 1, 3, 6, 1, 5, 2, 3)
         ]
-        nll, grad = crf.nll_and_gradient(insts, m, l2=0.5)
+        nll, grad = oracles.objective(insts, m, l2=0.5)
         shuffled = [insts[i] for i in rng.permutation(len(insts))]
         for order in (insts[::-1], shuffled):
-            nll_o, grad_o = crf.nll_and_gradient(order, m, l2=0.5)
+            nll_o, grad_o = oracles.objective(order, m, l2=0.5)
             assert nll_o == pytest.approx(nll, rel=1e-12)
             for part in ("emission", "transition", "begin", "end"):
                 np.testing.assert_allclose(getattr(grad_o, part), getattr(grad, part))
 
-    def test_factored_training_batch_matches_public_objective(self):
-        # train's batch holds the rows factored by surface; the public
-        # objective stacks each instance's rows
+    def test_factored_training_batch_matches_public_objective(self, monkeypatch):
+        # the objective `train` minimizes and the public one over the same
+        # references, bit for bit, also when min_count drops names
         corpus = rp.generate_corpus(
             rp.random_records(20, seed=4), rp.style_family("A"), n=40, seed=4
         )
-        config = FeatureConfig()
-        surfaces = [inst.surfaces() for inst in corpus.instances]
-        index, h, xv = training_factors(surfaces, config)
-        m = crf.empty_model(corpus.labels, index, config)
-        tmask, bmask = crf._structure_masks(m.tags)
+        objectives, sizes = [], []
+
+        def capture(fun, x0, **kwargs):
+            objectives.append(fun)
+            return optim.OptResult(x0, 0.0, [(0, 0.0)], True, 1, 0.0)
+
+        monkeypatch.setattr(optim, "minimize", capture)
         rng = np.random.default_rng(11)
-        m = crf._unpack(rng.normal(size=len(crf._pack(m, tmask, bmask))), m, tmask, bmask)
-        ids = m.tag_ids
-        batch = crf._Batch(
-            h,
-            xv,
-            np.array([ids[t] for inst in corpus.instances for t in inst.tags]),
-            np.array([len(s) for s in surfaces]),
-            len(m.tags),
-        )
-        nll, grad = crf._batch_nll_grad(batch, m, 0.5)
-        vec = [crf.vectorize(s, m, gold_tags=inst.tags) for s, inst in zip(surfaces, corpus.instances)]
-        want_nll, want = crf.nll_and_gradient(vec, m, 0.5)
-        assert nll == pytest.approx(want_nll, rel=1e-10)
-        for part in ("emission", "transition", "begin", "end"):
-            np.testing.assert_allclose(getattr(grad, part), getattr(want, part))
+        for min_count in (1, 2):
+            m = crf.train(corpus, FeatureConfig(min_count=min_count), crf.TrainConfig(l2=0.5))
+            tmask, bmask = crf._structure_masks(m.tags)
+            x = rng.normal(size=len(crf._pack(m, tmask, bmask)))
+            sizes.append(len(x))
+            nll, g = objectives[-1](x)
+            m = crf._unpack(x, m, tmask, bmask)
+            vec = [crf.vectorize(inst.surfaces(), m, gold_tags=inst.tags) for inst in corpus.instances]
+            want_nll, want = crf.nll_and_gradient(vec, m, 0.5)
+            assert nll == want_nll
+            np.testing.assert_array_equal(g, crf._grad_vector(want, tmask, bmask))
+            assert not want.transition[~tmask].any() and not want.begin[~bmask].any()
+        assert sizes[1] < sizes[0]  # min_count 2 dropped names
 
     def test_matches_finite_differences(self, monkeypatch):
-        # on the probability-space path: these weights pass its range check
+        # the public objective on a few short labelled references, on the
+        # probability-space path: these weights pass its range check
         monkeypatch.setattr(crf, "_log_space", _refuse("_log_space"))
         rng = np.random.default_rng(6)
+        records = rp.random_records(10, seed=6)
         h = 1e-5
-        for _ in range(8):
-            m = oracles.random_model(rng, n_fields=int(rng.integers(1, 3)))
-            insts = [
-                oracles.random_instance(rng, m, int(rng.integers(1, 5)), with_gold=True)
-                for _ in range(2)
+        for trial in range(4):
+            corpus = rp.filter_fields(
+                rp.generate_corpus(records, rp.style_family("A"), n=3, seed=trial),
+                ["author", "title"],
+            )
+            refs = [
+                (inst.surfaces()[:k], inst.tags[:k])
+                for inst in corpus.instances
+                for k in [int(rng.integers(1, 5))]
             ]
+            config = FeatureConfig(window=1)
+            m = oracles.surface_model(rng, [s for s, _ in refs], n_fields=2, config=config, scale=0.5)
+            insts = [crf.vectorize(s, m, gold_tags=t) for s, t in refs]
             l2 = float(rng.uniform(0, 1))
             tmask, bmask = crf._structure_masks(m.tags)
             _, grad = crf.nll_and_gradient(insts, m, l2)
@@ -577,32 +592,14 @@ class TestNllAndGradient:
                 fd = (fp - fm) / (2 * h)
                 assert abs(fd - gvec[i]) <= 1e-4 * max(1.0, abs(fd), abs(gvec[i]))
 
-    def test_stacked_rows_are_vstack_and_objective_unchanged(self):
-        rng = np.random.default_rng(12)
-        m = oracles.random_model(rng, n_fields=2)
-        insts = [
-            oracles.random_instance(rng, m, int(rng.integers(1, 6)), with_gold=True)
-            for _ in range(9)
-        ]
-        want = sparse.vstack([inst.x for inst in insts], format="csr")
-        batch = crf._Batch(
-            want,
-            sparse.identity(want.shape[1], format="csr"),
-            np.concatenate([inst.gold for inst in insts]),
-            np.array([len(inst) for inst in insts]),
-            len(m.tags),
-        )
-        want_nll, want_grad = crf._batch_nll_grad(batch, m, 0.5)
-        nll, grad = crf.nll_and_gradient(insts, m, 0.5)
-        assert nll == want_nll
-        for part in ("emission", "transition", "begin", "end"):
-            np.testing.assert_array_equal(getattr(grad, part), getattr(want_grad, part))
-        wide = [
-            crf.VectorizedInstance(sparse.hstack([inst.x, inst.x], format="csr"), inst.gold)
-            for inst in insts
-        ]
-        with pytest.raises(StructuralError, match="model's 8 features"):
-            crf.nll_and_gradient(wide, m)
+    @pytest.mark.parametrize(
+        "l2", [-1.0, float("nan"), float("inf"), True], ids=["negative", "nan", "inf", "bool"]
+    )
+    def test_l2_is_checked_as_train_config_checks_it(self, l2):
+        m = unconstrained_model(2)
+        inst = crf.vectorize(["a", "b"], m, gold_tags=["O", "B-author"])
+        with pytest.raises(UsageError, match="^l2 must be"):
+            crf.nll_and_gradient([inst], m, l2)
 
     def test_gold_outside_tag_set_is_data_error(self):
         m = unconstrained_model(2)  # tags O, B-author only
@@ -628,13 +625,11 @@ class TestNumericalRobustness:
             end=np.full(m.end.shape, 50.0),
         )
         length = 10_000
-        inst = oracles.instance([[int(rng.integers(4))] for _ in range(length)], 4)
-        logz = crf.log_partition(inst, m)
+        inst = oracles.instance([[int(rng.integers(4))] for _ in range(length)])
+        logz, marg, tags = oracles.inference(inst, m)
         assert np.isfinite(logz)
-        marg = crf.marginals(inst, m)
         assert np.all(np.isfinite(marg))
         np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-9)
-        tags = crf.viterbi(inst, m)
         assert len(tags) == length
 
     def test_posteriors_exact_where_the_pair_factor_is_capped(self):
@@ -657,10 +652,10 @@ class TestNumericalRobustness:
             begin=np.array([-53.472, 228.571, -np.inf]),
             end=np.array([-10.42, -254.668, 379.787]),
         )
-        inst = oracles.instance([[0], [1], [2]], 3)
+        inst = oracles.instance([[0], [1], [2]])
         _, _, marg_e = oracles.enumerate_all(inst, m)
         assert marg_e[1, 2] == pytest.approx(1.0)
-        np.testing.assert_allclose(crf.marginals(inst, m), marg_e, atol=1e-8)
+        np.testing.assert_allclose(oracles.inference(inst, m)[1], marg_e, atol=1e-8)
 
     def test_large_weights_match_enumeration(self):
         # far beyond trained weight sizes: at +-200 every batch fails the
@@ -675,10 +670,11 @@ class TestNumericalRobustness:
             ]
             for inst in insts:
                 logz_e, _, marg_e = oracles.enumerate_all(inst, m)
-                assert abs(crf.log_partition(inst, m) - logz_e) <= 1e-8 * max(1.0, abs(logz_e))
-                np.testing.assert_allclose(crf.marginals(inst, m), marg_e, atol=1e-8)
+                logz, marg, _ = oracles.inference(inst, m)
+                assert abs(logz - logz_e) <= 1e-8 * max(1.0, abs(logz_e))
+                np.testing.assert_allclose(marg, marg_e, atol=1e-8)
             tmask, bmask = crf._structure_masks(m.tags)
-            _, grad = crf.nll_and_gradient(insts, m, 0.0)
+            _, grad = oracles.objective(insts, m, 0.0)
             gvec = crf._grad_vector(grad, tmask, bmask)
             x0 = crf._pack(m, tmask, bmask)
             for i in range(len(x0)):
@@ -702,7 +698,7 @@ class TestNumericalRobustness:
             m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)), scale=scale)
             inst = oracles.random_instance(rng, m, int(rng.integers(1, 6)))
             logz_e, _, marg_e = oracles.enumerate_all(inst, m)
-            mu, expected_trans, logz = crf._forward_backward(*crf._one(inst, m, "test"), m)
+            mu, expected_trans, logz = crf._forward_backward(*oracles.scores([inst], m), m)
             assert abs(logz[0] - logz_e) <= 1e-8 * max(1.0, abs(logz_e))
             np.testing.assert_allclose(mu, marg_e, atol=1e-8)
             np.testing.assert_allclose(
@@ -718,9 +714,9 @@ class TestNumericalRobustness:
         rng = np.random.default_rng(32)
         m = oracles.random_model(rng, n_fields=2, n_feats=4, scale=1.0)
         m = replace(m, emission=m.emission + offset)
-        inst = oracles.instance([[t % 4] for t in range(5)], 4)
+        inst = oracles.instance([[t % 4] for t in range(5)])
         fixed = 3.0 * np.log(len(m.tags))
-        per_unit = crf._reach(inst.x @ m.emission, m) - fixed
+        per_unit = crf._reach(oracles.scores([inst], m)[0], m) - fixed
         for target, other in (
             (crf._REACH - 0.5, "_log_space"),
             (crf._REACH + 0.5, "_probability_space"),
@@ -730,11 +726,11 @@ class TestNumericalRobustness:
                 m, emission=k * m.emission, transition=k * m.transition,
                 begin=k * m.begin, end=k * m.end,
             )
-            assert crf._reach(inst.x @ mk.emission, mk) == pytest.approx(target, abs=1e-9)
+            assert crf._reach(oracles.scores([inst], mk)[0], mk) == pytest.approx(target, abs=1e-9)
             logz_e, _, marg_e = oracles.enumerate_all(inst, mk)
             with monkeypatch.context() as patch:
                 patch.setattr(crf, other, _refuse(other))
-                mu, expected_trans, logz = crf._forward_backward(*crf._one(inst, mk, "test"), mk)
+                mu, expected_trans, logz = crf._forward_backward(*oracles.scores([inst], mk), mk)
             assert abs(logz[0] - logz_e) <= 1e-10 * abs(logz_e)
             np.testing.assert_allclose(mu, marg_e, atol=1e-10)
             np.testing.assert_allclose(
@@ -747,8 +743,7 @@ class TestNumericalRobustness:
             m = oracles.random_model(rng, n_fields=int(rng.integers(1, 4)), scale=5.0)
             insts = [oracles.random_instance(rng, m, int(rng.integers(1, 12))) for _ in range(20)]
             lengths = np.array([len(inst) for inst in insts])
-            e = sparse.vstack([inst.x for inst in insts]) @ m.emission
-            e = e[crf._Packing(lengths).source]
+            e, _ = oracles.scores(insts, m)
             assert crf._reach(e, m) <= crf._REACH
             # each path on its own packing, whose workspace holds its posteriors
             fast = crf._probability_space(e, crf._Packing(lengths), m)
@@ -769,7 +764,7 @@ class TestTraining:
         )
         inst = corpus.instances[0]
         vec = crf.vectorize(inst.surfaces(), model, gold_tags=inst.tags)
-        nll = crf.log_partition(vec, model) - crf.score_path(vec, inst.tags, model)
+        nll, _ = crf.nll_and_gradient([vec], model)
         assert nll < 0.01
 
     def test_huge_l2_collapses_weights_toward_zero(self):
@@ -958,14 +953,15 @@ class TestWorkspace:
 
     def test_two_marginals_results_are_independent(self):
         rng = np.random.default_rng(22)
-        m = oracles.random_model(rng)
-        first_inst, second_inst = (oracles.random_instance(rng, m, 4) for _ in "ab")
-        first = crf.marginals(first_inst, m)
+        first_inst, second_inst = ["Smith", "J", ".", "2015"], ["Proc", "of", "IEEE", "2015"]
+        m = oracles.surface_model(rng, [first_inst, second_inst])
+        first = crf.marginals(m, first_inst)
         kept = first.copy()
-        second = crf.marginals(second_inst, m)
+        second = crf.marginals(m, second_inst)
         assert not np.shares_memory(first, second)
+        assert not np.array_equal(first, second)
         np.testing.assert_array_equal(first, kept)
-        np.testing.assert_array_equal(crf.marginals(first_inst, m), kept)
+        np.testing.assert_array_equal(crf.marginals(m, first_inst), kept)
 
     def test_minimize_never_writes_what_the_objective_returns(self):
         rng = np.random.default_rng(23)

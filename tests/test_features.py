@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 import refparse as rp
-from oracles import corpus_features, extract, id_matrix
+from oracles import corpus_features, extract, id_matrix, key_rows
 from refparse import crf, features
 from refparse.errors import UsageError
 from refparse.features import (
@@ -243,12 +243,8 @@ def test_cached_rows_equal_looked_up_names(config):
     index = build_index(corpus_features(corpus[:40], config), config.min_count)
     model = crf.empty_model(["author"], index, config)
     for surfaces in [GOLDEN_SURFACES] + corpus + corpus[::-1]:  # twice: the cache warm
-        x = crf.vectorize(surfaces, model).x
-        assert x.shape == (len(surfaces), len(index))
-        assert [
-            x.indices[x.indptr[t] : x.indptr[t + 1]].tolist() for t in range(len(surfaces))
-        ] == [index.lookup_many(names) for names in extract(surfaces, config)]
-        np.testing.assert_array_equal(x.data, 1.0)
+        rows = key_rows(*model.feature_ids.keys([surfaces]))
+        assert rows == [index.lookup_many(names) for names in extract(surfaces, config)]
 
 
 @CONFIGS
