@@ -820,7 +820,7 @@ def train(
         m = _unpack(x, model, tmask, bmask)
         nll, grad = _batch_nll_grad(batch, m, train_config.l2)
         g = _grad_vector(grad, tmask, bmask)
-        if np.isnan(nll) or np.isnan(g.dot(g)):
+        if np.isnan(nll) or np.isnan(g).any():
             raise NumericError(
                 f"NaN in objective/gradient at |x|={np.abs(x).max():.3g}"
             )

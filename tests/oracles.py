@@ -3,10 +3,11 @@
 Everything here recomputes quantities by brute force (exhaustive path
 enumeration, direct summation, a token-by-span scan, a character-by-character
 tokenizer, a close-and-open segment walk, greedy segment matching, an
-L-BFGS that allocates every vector afresh, a character-stepping template
-parser, a counting template renderer and a name-level feature walk) so the
-tests never trust the code path they check. Enumeration is vectorized over
-the full path table to keep hundreds of oracle comparisons fast.
+L-BFGS that allocates every vector afresh, the two-loop L-BFGS direction, a
+character-stepping template parser, a counting template renderer and a
+name-level feature walk) so the tests never trust the code path they check.
+Enumeration is vectorized over the full path table to keep hundreds of
+oracle comparisons fast.
 
 A random-row instance (`Instance`) is laid out in the CRF's one key layout,
 with one key per position (`layout`), so that `inference` and `objective`
@@ -410,31 +411,81 @@ def tags_from_spans(
 
 
 def _dot(a, b) -> float:
-    return float(np.add.reduce(a * b))
+    return float(np.einsum("j,j->", a, b))
 
 
-def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptResult:
+def two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS direction -H g by the two-loop recursion (Nocedal & Wright,
+    Algorithm 7.4) over the (s, y) pairs, oldest first, with H0 = gamma I
+    from the newest pair (the identity when there is none)."""
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        alphas.append((s @ q) / (s @ y))
+        q = q - alphas[-1] * y
+    if pairs:
+        s, y = pairs[-1]
+        q = q * ((s @ y) / (y @ y))
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q = q + (a - (y @ q) / (s @ y)) * s
+    return -q
+
+
+def _compact(pairs, sy, yy, proj, free, n_rows) -> np.ndarray:
+    """The ring rows' coefficients of the compact direction
+    -gamma g - S R^-T ((D + gamma Y'Y) R^-1 S'g - gamma Y'g) + gamma Y R^-1 S'g."""
+    coef = [0.0] * n_rows
+    if not pairs:
+        coef[2 * free] = -1.0
+        return np.array(coef)
+    m = len(pairs)
+    gamma = sy[pairs[-1], pairs[-1]] / yy[pairs[-1], pairs[-1]]
+    u = [0.0] * m  # R u = S'g, R the upper triangle of S'Y
+    for i in range(m - 1, -1, -1):
+        dots = sum(sy[pairs[i], pairs[j]] * u[j] for j in range(i + 1, m))
+        u[i] = (proj[2 * pairs[i]] - dots) / sy[pairs[i], pairs[i]]
+    p = [0.0] * m  # R' p = (D + gamma Y'Y) u - gamma Y'g
+    for i in range(m):
+        yu = sum(yy[pairs[i], pairs[j]] * u[j] for j in range(m))
+        v = sy[pairs[i], pairs[i]] * u[i] + gamma * (yu - proj[2 * pairs[i] + 1])
+        p[i] = (v - sum(sy[pairs[j], pairs[i]] * p[j] for j in range(i))) / sy[pairs[i], pairs[i]]
+    for i, slot in enumerate(pairs):
+        coef[2 * slot], coef[2 * slot + 1] = -p[i], gamma * u[i]
+    coef[2 * free] = -gamma
+    return np.array(coef)
+
+
+def minimize(
+    fun, x0, max_iter: int = 200, rel_tol: float = 1e-4, steps: list | None = None
+) -> optim.OptResult:
     """`optim.minimize`'s L-BFGS, written with a fresh array for every
-    vector and list-held (s, y) pairs: the arithmetic that the in-place
-    version must reproduce bit for bit. Its dot products are numpy's
-    pairwise sums of the products, as `optim`'s are."""
+    vector and a fresh ring of (s, y) rows stacked at every step: the
+    arithmetic that the in-place version must reproduce bit for bit. Slot i
+    keeps s in row 2i and y in row 2i + 1 and the free slot's s-row holds g,
+    as in `optim`, since the rows' order is the order of the direction's
+    sums. If `steps` is a list, each step appends a dict: `g`, the pairs'
+    (s, y) oldest first, the compact direction `d`, whether the step fell
+    back to steepest descent and whether it kept its pair."""
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
-    n_evals, log, pairs, converged = 1, [(0, f)], [], False
+    n_evals, log, converged = 1, [(0, f)], False
+    rows: list[np.ndarray] = []
+    pairs: list[int] = []
+    sy: dict = {}
+    yy: dict = {}
+    free, new, proj = 0, None, None
     for k in range(1, max_iter + 1):
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            a = rho * _dot(s, q)
-            q = q - a * y
-            alphas.append(a)
-        if pairs:
-            s, y, _ = pairs[-1]
-            q = q * (_dot(s, y) / _dot(y, y))
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q = q + (a - rho * _dot(y, q)) * s
-        d = -q
+        rows = [*rows[: 2 * free], g.copy(), *rows[2 * free + 1 :]]
+        ring = np.array(rows)
+        last, proj = proj, [float(v) for v in np.einsum("kj,j->k", ring, g)]
+        if new is not None:
+            for i in pairs[:-1]:
+                sy[i, new] = proj[2 * i] - last[2 * i]
+                yy[i, new] = yy[new, i] = proj[2 * i + 1] - last[2 * i + 1]
+        d = np.einsum("kj,k->j", ring, _compact(pairs, sy, yy, proj, free, len(rows)))
+        record = {"g": g, "pairs": [(rows[2 * i], rows[2 * i + 1]) for i in pairs], "d": d}
         gd = _dot(g, d)
+        record["fell_back"] = gd >= 0.0
         if gd >= 0.0:
             d = -g
             gd = _dot(g, d)
@@ -453,8 +504,16 @@ def minimize(fun, x0, max_iter: int = 200, rel_tol: float = 1e-4) -> optim.OptRe
             converged = True
             break
         s, y = x_new - x, g_new - g
-        if _dot(s, y) > 1e-10:
-            pairs = [*pairs, (s, y, 1.0 / _dot(s, y))][-optim.HISTORY :]
+        rows = [*rows[: 2 * free], s, y, *rows[2 * free + 2 :]]
+        sy[free, free] = _dot(s, y)
+        record["kept"] = sy[free, free] > 1e-10
+        new = free if record["kept"] else None
+        if record["kept"]:
+            yy[free, free] = _dot(y, y)
+            pairs = [*pairs, free]
+            free = pairs.pop(0) if len(pairs) > optim.HISTORY else len(pairs)
+        if steps is not None:
+            steps.append(record)
         rel_change = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         log.append((k, f))

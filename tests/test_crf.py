@@ -1,3 +1,5 @@
+import ast
+import itertools
 import logging
 import os
 import subprocess
@@ -788,6 +790,14 @@ class TestTraining:
         decoded = crf.predict_tags(zeroed, corpus.instances[0].surfaces())
         assert set(decoded) == {"O"}
 
+    @pytest.mark.parametrize("l2", [1e200, sys.float_info.max], ids=["1e200", "float_max"])
+    def test_l2_up_to_the_float_range_trains_zero_weights(self, l2):
+        # the suite turns RuntimeWarnings into errors, so the objective's NaN
+        # check must not overflow on a gradient whose squares do
+        model = crf.train(_corpus(8, n=30), FeatureConfig(), crf.TrainConfig(l2=l2))
+        for part in (model.emission, model.transition, model.begin, model.end):
+            assert not np.any(part[np.isfinite(part)])
+
     def test_training_log_monotone_and_deterministic(self, caplog):
         corpus = rp.generate_corpus(
             rp.random_records(30, seed=3), rp.style_family("A")[:3], n=60, seed=3
@@ -906,6 +916,45 @@ class TestOptimizer:
             assert res.grad_norm == pytest.approx(np.linalg.norm(f(res.x)[1]), rel=1e-12)
         assert res.grad_norm < 1e-4
 
+    def test_optim_calls_no_blas(self):
+        # a BLAS sum's order can follow the thread count; the thread-count
+        # test trains too few refs for OpenBLAS to split a sum, so it cannot
+        # catch a BLAS call coming back
+        blas = {"dot", "inner", "vdot", "matmul", "linalg", "scipy"}
+        found = []
+        for node in ast.walk(ast.parse(Path(optim.__file__).read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append("@")
+            elif isinstance(node, ast.Attribute) and node.attr in blas:
+                found.append(node.attr)
+            elif isinstance(node, ast.Name) and node.id in blas:
+                found.append(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                found += [n for n in names if set(n.split(".")) & blas]
+            elif isinstance(node, ast.Call) and "einsum" in ast.unparse(node.func):
+                found += ["einsum optimize" for k in node.keywords if k.arg in ("optimize", None)]
+        assert found == []
+
+
+def _kinked(n: int = 12):
+    """A quadratic plus a quartic in x[1:], plus a Huber term in x[0] whose
+    linear piece leaves the gradient unchanged: a step that moves x[0]
+    alone keeps no (s, y) pair. The quartic makes the first steps from far
+    away backtrack."""
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=(n - 1, n - 1))
+    quad = a.T @ a + 0.01 * np.eye(n - 1)
+    b = rng.normal(size=n - 1)
+
+    def f(x):
+        z, t = x[1:], x[0] - 10.0
+        huber, slope = (abs(t) - 0.5, np.sign(t)) if abs(t) > 1.0 else (0.5 * t * t, t)
+        value = 0.5 * z @ quad @ z - b @ z + (z @ z) ** 2 + huber
+        return float(value), np.concatenate([[slope], quad @ z - b + 4 * (z @ z) * z])
+
+    return f
+
 
 def _corpus(seed: int, n: int = 40) -> Corpus:
     return rp.generate_corpus(
@@ -983,24 +1032,50 @@ class TestWorkspace:
         assert replace(results[0], x=None) == replace(results[1], x=None)
 
     def test_minimize_is_bitwise_the_allocating_oracle(self):
-        rng = np.random.default_rng(24)
-        a = rng.normal(size=(12, 12))
-        quad = a.T @ a + 0.01 * np.eye(12)
-        b = rng.normal(size=12)
-
-        def f(x):
-            # a quartic term makes the first steps backtrack
-            return float(0.5 * x @ quad @ x - b @ x + (x @ x) ** 2), quad @ x - b + 4 * (x @ x) * x
-
-        backtracks = 0
+        backtracks = skipped = 0
         for x0 in (np.zeros(12), np.full(12, 3.0)):
-            got = optim.minimize(f, x0, max_iter=80, rel_tol=1e-15)
-            want = oracles.minimize(f, x0, max_iter=80, rel_tol=1e-15)
+            got = optim.minimize(_kinked(), x0, max_iter=80, rel_tol=1e-15)
+            steps = []
+            want = oracles.minimize(_kinked(), x0, max_iter=80, rel_tol=1e-15, steps=steps)
             assert len(got.log) > optim.HISTORY + 2
             backtracks += got.n_evals - len(got.log)
+            skipped += sum(not step["kept"] for step in steps)
             np.testing.assert_array_equal(got.x, want.x)
             assert replace(got, x=None) == replace(want, x=None)
-        assert backtracks
+        assert backtracks and skipped
+
+    def test_compact_direction_is_the_two_loops(self):
+        # one gradient so small that g'Hg underflows to 0 while g'g does not
+        # makes the step it starts fall back to steepest descent
+        def fun():
+            f, calls = _kinked(), itertools.count(1)
+
+            def tiny_at_30th_call(x):
+                value, grad = f(x)
+                if next(calls) == 30:
+                    grad = np.zeros_like(grad)
+                    grad[1] = 2.3e-162
+                return value, grad
+
+            return tiny_at_30th_call
+
+        got = optim.minimize(fun(), np.zeros(12), max_iter=120, rel_tol=0.0)
+        steps = []
+        want = oracles.minimize(fun(), np.zeros(12), max_iter=120, rel_tol=0.0, steps=steps)
+        np.testing.assert_array_equal(got.x, want.x)
+        assert replace(got, x=None) == replace(want, x=None)
+        cases, kept = set(), 0
+        for last, step in zip([None, *steps], steps):
+            if step["pairs"]:
+                want_d = oracles.two_loop(step["g"], step["pairs"])
+                assert np.abs(step["d"] - want_d).max() <= 1e-10 * np.abs(want_d).max()
+                cases.add("wrapped" if kept > optim.HISTORY else "partly filled")
+                if not last["kept"]:
+                    cases.add("after a skipped pair")
+                if last["fell_back"]:
+                    cases.add("after the fallback")
+            kept += step["kept"]
+        assert cases == {"partly filled", "wrapped", "after a skipped pair", "after the fallback"}
 
     def test_training_is_bitwise_the_allocating_oracles(self, monkeypatch, tmp_path):
         # the oracle gets a copy of every gradient as it was returned, so an
